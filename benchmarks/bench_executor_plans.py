@@ -1,14 +1,12 @@
-"""Executor comparison — per-iteration vs batched vs compiled plans.
+"""Executor comparison — per-iteration oracle vs compiled plans.
 
 For every suite matrix, runs the two workloads the paper's runtime
 section cares about most — the SpTRSV→SpMV combination (Table 1 row 3,
 the Fig. 5 protagonist) and the unrolled Gauss-Seidel chain (Fig. 9) —
-under all three executors:
+under both executors:
 
 * ``iter``    — :func:`repro.runtime.execute_schedule`, the semantics
   oracle (one Python call per iteration);
-* ``batched`` — :func:`repro.runtime.execute_schedule_batched`
-  (vectorizes dependence-free kernels only);
 * ``plan``    — :func:`repro.runtime.execute_schedule_planned`, the
   compiled level-batched plan that also vectorizes dependence-carrying
   kernels (SpTRSV, SpIC0, SpILU0) one intra-DAG level at a time.
@@ -38,12 +36,7 @@ import numpy as np
 from repro import fuse
 from repro.fusion import build_combination
 from repro.obs import recording, stage_breakdown
-from repro.runtime import (
-    execute_schedule,
-    execute_schedule_batched,
-    execute_schedule_planned,
-    plan_for,
-)
+from repro.runtime import execute_schedule, execute_schedule_planned, plan_for
 from repro.solvers import build_gs_chain
 from repro.solvers.gauss_seidel import gs_split
 
@@ -56,21 +49,19 @@ from common import (
     small_test_matrix,
 )
 
-EXECUTORS = ("iter", "batched", "plan")
+EXECUTORS = ("iter", "plan")
 
 
-def _run_once(executor, schedule, kernels, state, min_batch):
+def _run_once(executor, schedule, kernels, state):
     t0 = time.perf_counter()
     if executor == "plan":
-        execute_schedule_planned(schedule, kernels, state, min_batch=min_batch)
-    elif executor == "batched":
-        execute_schedule_batched(schedule, kernels, state, min_batch=min_batch)
+        execute_schedule_planned(schedule, kernels, state)
     else:
         execute_schedule(schedule, kernels, state)
     return time.perf_counter() - t0
 
 
-def _time_executors(schedule, kernels, state, *, reps, min_batch):
+def _time_executors(schedule, kernels, state, *, reps):
     """Best-of-*reps* wall seconds per executor, fresh state per rep.
 
     The plan is compiled before timing (under a recorder, so compile
@@ -79,9 +70,9 @@ def _time_executors(schedule, kernels, state, *, reps, min_batch):
     solver loops run in.
     """
     with recording() as rec:
-        plan_for(schedule, kernels, min_batch=min_batch)
+        plan_for(schedule, kernels)
         for _ in range(reps):
-            plan_for(schedule, kernels, min_batch=min_batch)
+            plan_for(schedule, kernels)
     diags = {
         "plan_compile_seconds": rec.counter("plan.compile_seconds"),
         "plan_cache_hits": rec.counter("plan.cache_hits"),
@@ -92,23 +83,21 @@ def _time_executors(schedule, kernels, state, *, reps, min_batch):
         best = float("inf")
         for _ in range(reps):
             st = {k: v.copy() for k, v in state.items()}
-            best = min(best, _run_once(ex, schedule, kernels, st, min_batch))
+            best = min(best, _run_once(ex, schedule, kernels, st))
         seconds[ex] = best
     return seconds, diags
 
 
-def bench_combo3(a, *, n_threads, reps, min_batch):
+def bench_combo3(a, *, n_threads, reps):
     """SpTRSV→SpMV (Table 1 row 3) under every executor."""
     kernels, state = build_combination(3, a, seed=3)
     with recording() as rec:
         fl = fuse(kernels, n_threads, validate=False)
-    seconds, diags = _time_executors(
-        fl.schedule, kernels, state, reps=reps, min_batch=min_batch
-    )
+    seconds, diags = _time_executors(fl.schedule, kernels, state, reps=reps)
     return seconds, diags, stage_breakdown(rec)
 
 
-def bench_gs_chain(a, *, n_threads, reps, min_batch, unroll=2):
+def bench_gs_chain(a, *, n_threads, reps, unroll=2):
     """One unrolled-GS chunk (2*unroll fused loops) under every executor."""
     kernels, x_in, _ = build_gs_chain(a, unroll)
     low, e = gs_split(a)
@@ -122,13 +111,11 @@ def bench_gs_chain(a, *, n_threads, reps, min_batch, unroll=2):
     rng = np.random.default_rng(9)
     state["b"][:] = rng.random(a.n_rows)
     state[x_in][:] = rng.random(a.n_rows)
-    seconds, diags = _time_executors(
-        fl.schedule, kernels, state, reps=reps, min_batch=min_batch
-    )
+    seconds, diags = _time_executors(fl.schedule, kernels, state, reps=reps)
     return seconds, diags, stage_breakdown(rec)
 
 
-def run(*, smoke=False, reps=None, min_batch=4, n_threads=8, verbose=True):
+def run(*, smoke=False, reps=None, n_threads=8, verbose=True):
     if smoke:
         from repro.sparse import apply_ordering, laplacian_2d
 
@@ -146,7 +133,7 @@ def run(*, smoke=False, reps=None, min_batch=4, n_threads=8, verbose=True):
             ("gs-chain", bench_gs_chain),
         ):
             seconds, diags, stages = bench(
-                m.matrix, n_threads=n_threads, reps=reps, min_batch=min_batch
+                m.matrix, n_threads=n_threads, reps=reps
             )
             stages["plan.compile_seconds"] = diags["plan_compile_seconds"]
             row = {
@@ -156,19 +143,16 @@ def run(*, smoke=False, reps=None, min_batch=4, n_threads=8, verbose=True):
                 "nnz": m.matrix.nnz,
                 "seconds": seconds,
                 "speedup_plan_vs_iter": seconds["iter"] / seconds["plan"],
-                "speedup_plan_vs_batched": seconds["batched"] / seconds["plan"],
                 "plan_compile_seconds": diags["plan_compile_seconds"],
                 "plan_cache_hits": diags["plan_cache_hits"],
                 "plan_cache_misses": diags["plan_cache_misses"],
                 "stage_breakdown": stages,
-                "min_batch": min_batch,
             }
             rows.append(row)
             if verbose:
                 print(
                     f"{m.name:16s} {workload:12s} "
                     f"iter {seconds['iter'] * 1e3:8.1f}ms  "
-                    f"batched {seconds['batched'] * 1e3:8.1f}ms  "
                     f"plan {seconds['plan'] * 1e3:8.1f}ms  "
                     f"({row['speedup_plan_vs_iter']:.1f}x vs iter, "
                     f"compile {diags['plan_compile_seconds'] * 1e3:.1f}ms, "
@@ -179,17 +163,12 @@ def run(*, smoke=False, reps=None, min_batch=4, n_threads=8, verbose=True):
         "geomean_speedup_plan_vs_iter": geomean(
             [r["speedup_plan_vs_iter"] for r in rows]
         ),
-        "geomean_speedup_plan_vs_batched": geomean(
-            [r["speedup_plan_vs_batched"] for r in rows]
-        ),
         "all_cache_hits_positive": all(r["plan_cache_hits"] > 0 for r in rows),
     }
     if verbose:
         print(
             f"\ngeomean speedup: plan vs iter "
-            f"{summary['geomean_speedup_plan_vs_iter']:.2f}x, "
-            f"plan vs batched "
-            f"{summary['geomean_speedup_plan_vs_batched']:.2f}x"
+            f"{summary['geomean_speedup_plan_vs_iter']:.2f}x"
         )
     return {"rows": rows, "summary": summary, "smoke": smoke, "reps": reps}
 
@@ -198,7 +177,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--smoke", action="store_true", help="tiny CI guardrail run")
     ap.add_argument("--reps", type=int, default=None)
-    ap.add_argument("--min-batch", type=int, default=4)
     ap.add_argument("--threads", type=int, default=8)
     ap.add_argument(
         "--max-regression",
@@ -207,13 +185,8 @@ def main(argv=None) -> int:
         help="fail when plan is this fraction slower than iter (smoke mode)",
     )
     args = ap.parse_args(argv)
-    print_header("Executor comparison: iter vs batched vs compiled plans")
-    payload = run(
-        smoke=args.smoke,
-        reps=args.reps,
-        min_batch=args.min_batch,
-        n_threads=args.threads,
-    )
+    print_header("Executor comparison: iter vs compiled plans")
+    payload = run(smoke=args.smoke, reps=args.reps, n_threads=args.threads)
     if args.smoke:
         floor = 1.0 / (1.0 + args.max_regression)
         bad = [

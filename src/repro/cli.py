@@ -224,25 +224,15 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _execute_with(executor, schedule, kernels, state, min_batch, sanitize=False):
+def _execute_with(executor, schedule, kernels, state, sanitize=False):
     """Run *schedule* under the named executor; returns wall seconds."""
     import time
 
-    from .runtime import (
-        execute_schedule,
-        execute_schedule_batched,
-        execute_schedule_planned,
-    )
+    from .runtime import execute_schedule, execute_schedule_planned
 
     t0 = time.perf_counter()
     if executor == "plan":
-        execute_schedule_planned(
-            schedule, kernels, state, min_batch=min_batch, sanitize=sanitize
-        )
-    elif executor == "batched":
-        execute_schedule_batched(
-            schedule, kernels, state, min_batch=min_batch, sanitize=sanitize
-        )
+        execute_schedule_planned(schedule, kernels, state, sanitize=sanitize)
     else:
         execute_schedule(schedule, kernels, state, sanitize=sanitize)
     return time.perf_counter() - t0
@@ -259,7 +249,6 @@ def _cmd_fuse(args) -> int:
             fl.schedule,
             kernels,
             state,
-            args.min_batch,
             sanitize=args.sanitize,
         )
     combo = COMBINATIONS[args.combo]
@@ -292,7 +281,6 @@ def _cmd_compare(args) -> int:
             results["sparse-fusion"].schedule,
             kernels,
             state,
-            args.min_batch,
             sanitize=args.sanitize,
         )
     print(f"{'implementation':16s} {'GFLOP/s':>8s} {'sim time':>10s} "
@@ -337,7 +325,6 @@ def _cmd_gs(args) -> int:
             method=args.method,
             n_threads=args.threads,
             executor=args.executor,
-            min_batch=args.min_batch,
         )
     status = "converged" if res.converged else "NOT converged"
     print(
@@ -356,10 +343,7 @@ def _cmd_gs(args) -> int:
             from .obs.memtrace import sanitize_schedule
 
             report = sanitize_schedule(
-                res.schedule,
-                kernels,
-                executor=args.executor,
-                min_batch=args.min_batch,
+                res.schedule, kernels, executor=args.executor
             )
             print(report.summary())
             report.raise_if_violations()
@@ -482,7 +466,7 @@ def _cmd_sanitize(args) -> int:
     combo = COMBINATIONS[args.combo]
     fl = fuse(kernels, args.threads, scheduler=args.scheduler)
     executors = (
-        ("iter", "batched", "plan") if args.executor == "all" else (args.executor,)
+        ("iter", "plan") if args.executor == "all" else (args.executor,)
     )
     print(f"combination {args.combo} ({combo.name}): {combo.operations}")
     print(
@@ -490,10 +474,7 @@ def _cmd_sanitize(args) -> int:
         f"{fl.schedule.n_vertices} vertices ({args.scheduler})"
     )
     reports = [
-        sanitize_schedule(
-            fl.schedule, kernels, executor=ex, min_batch=args.min_batch
-        )
-        for ex in executors
+        sanitize_schedule(fl.schedule, kernels, executor=ex) for ex in executors
     ]
     for report in reports:
         print(report.format(max_lines=args.max_violations))
@@ -657,17 +638,10 @@ def build_parser() -> argparse.ArgumentParser:
         if executor:
             sp.add_argument(
                 "--executor",
-                default="batched",
-                choices=("iter", "batched", "plan"),
-                help="schedule executor: per-iteration oracle, vectorized "
-                "batches, or compiled level-batched plan",
-            )
-            sp.add_argument(
-                "--min-batch",
-                type=int,
-                default=4,
-                help="group size below which iterations run scalar "
-                "(see repro.runtime.batched for the tradeoff)",
+                default="plan",
+                choices=("iter", "plan"),
+                help="schedule executor: compiled level-batched plan, or "
+                "the per-iteration oracle",
             )
             sp.add_argument(
                 "--sanitize",
@@ -776,14 +750,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--executor",
         default="all",
-        choices=("iter", "batched", "plan", "all"),
-        help="happens-before model to check under (default: all three)",
-    )
-    sp.add_argument(
-        "--min-batch",
-        type=int,
-        default=4,
-        help="batch threshold for the batched/plan models",
+        choices=("iter", "plan", "all"),
+        help="happens-before model to check under (default: both)",
     )
     sp.add_argument(
         "--max-violations",

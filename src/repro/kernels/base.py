@@ -166,25 +166,6 @@ class Kernel(abc.ABC):
             self.run_iteration(i, state, scratch)
 
     # ------------------------------------------------------------------
-    # Fused-code generation (Sec. 2.3; see repro.fusion.codegen)
-    # ------------------------------------------------------------------
-    def codegen_body(self, prefix: str) -> str | None:
-        """Python source of one iteration (loop variable ``i``), or
-        ``None`` when this kernel cannot be code-generated (e.g. it needs
-        scratch workspaces). Structural arrays are referenced as
-        ``{prefix}{const}`` (from :meth:`codegen_consts`) and state
-        arrays via :meth:`cg_var`."""
-        return None
-
-    def codegen_consts(self) -> dict[str, np.ndarray]:
-        """Structural arrays the generated body needs, by local name."""
-        return {}
-
-    def cg_var(self, prefix: str, var: str) -> str:
-        """Generated-code local name of state variable *var*."""
-        return f"{prefix}v_{var.replace('.', '_').lstrip('_')}"
-
-    # ------------------------------------------------------------------
     # Dataflow
     # ------------------------------------------------------------------
     @property

@@ -16,12 +16,9 @@ the schedule's happens-before relation:
 
 where ``t`` is the executor's *dispatch* index inside a w-partition.
 Because ``t`` depends on how an executor groups iterations, the
-sanitizer models all three executors:
+sanitizer models both executors:
 
 * ``"iter"`` — one dispatch per iteration (packed order);
-* ``"batched"`` — one dispatch per vectorized run
-  (:func:`repro.runtime.batched.execute_schedule_batched`): members of
-  one batch share ``t`` and are treated as concurrent;
 * ``"plan"`` — one dispatch per compiled
   :class:`~repro.runtime.plan.PlanStep`: a level batch's members are
   concurrent, so the level-batching legality argument in
@@ -45,7 +42,7 @@ is ordered if and only if all checked pairs are. This keeps the pair
 count linear-ish in the access-stream size instead of quadratic.
 
 Entry point: :func:`sanitize_schedule`, surfaced as ``sanitize=True``
-on all three ``execute_schedule*`` functions and as ``repro sanitize``
+on both ``execute_schedule*`` functions and as ``repro sanitize``
 / ``--sanitize`` on the CLI.
 """
 
@@ -375,8 +372,6 @@ def execution_coordinates(
     schedule: FusedSchedule,
     kernels: list[Kernel],
     executor: str = "iter",
-    *,
-    min_batch: int = 4,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-vertex ``(s, w, t)`` happens-before coordinates.
 
@@ -389,52 +384,27 @@ def execution_coordinates(
     wp = wp.astype(np.int64)
     if executor == "iter":
         return sp, wp, pos.astype(np.int64)
-    offsets = schedule.offsets
-    loop_of = np.zeros(max(1, schedule.n_vertices), dtype=np.int64)
-    for k in range(len(kernels)):
-        loop_of[offsets[k] : offsets[k + 1]] = k
-    tt = np.zeros(schedule.n_vertices, dtype=np.int64)
-    if executor == "batched":
-        batchable = [getattr(k, "supports_batch", False) for k in kernels]
-        for _, _, verts in schedule.iter_all():
-            if verts.shape[0] == 0:
-                continue
-            loops = loop_of[verts]
-            boundaries = np.nonzero(np.diff(loops))[0] + 1
-            starts = np.concatenate([[0], boundaries])
-            ends = np.concatenate([boundaries, [verts.shape[0]]])
-            t = 0
-            for a, b in zip(starts, ends):
-                k = int(loops[a])
-                if batchable[k] and (b - a) >= min_batch:
-                    tt[verts[a:b]] = t
-                    t += 1
-                else:
-                    tt[verts[a:b]] = np.arange(t, t + (b - a))
-                    t += b - a
-        return sp, wp, tt
-    if executor == "plan":
-        from ..runtime.plan import plan_for
+    if executor != "plan":
+        raise ValueError(
+            f"unknown executor {executor!r}; expected 'iter' or 'plan'"
+        )
+    from ..runtime.plan import plan_for
 
-        plan = plan_for(schedule, kernels, min_batch=min_batch)
-        next_t: dict[tuple[int, int], int] = {}
-        for step in plan.steps:
-            key = (step.s, step.w)
-            t = next_t.get(key, 0)
-            gids = np.asarray(step.iters, dtype=np.int64) + int(
-                offsets[step.loop]
-            )
-            if step.kind == "scalar":
-                tt[gids] = np.arange(t, t + gids.shape[0])
-                t += gids.shape[0]
-            else:  # "level" / "batch": one concurrent dispatch
-                tt[gids] = t
-                t += 1
-            next_t[key] = t
-        return sp, wp, tt
-    raise ValueError(
-        f"unknown executor {executor!r}; expected 'iter', 'batched' or 'plan'"
-    )
+    offsets = schedule.offsets
+    tt = np.zeros(schedule.n_vertices, dtype=np.int64)
+    next_t: dict[tuple[int, int], int] = {}
+    for step in plan_for(schedule, kernels).steps:
+        key = (step.s, step.w)
+        t = next_t.get(key, 0)
+        gids = np.asarray(step.iters, dtype=np.int64) + int(offsets[step.loop])
+        if step.kind == "scalar":
+            tt[gids] = np.arange(t, t + gids.shape[0])
+            t += gids.shape[0]
+        else:  # "level" / "batch": one concurrent dispatch
+            tt[gids] = t
+            t += 1
+        next_t[key] = t
+    return sp, wp, tt
 
 
 # ----------------------------------------------------------------------
@@ -445,7 +415,6 @@ def sanitize_schedule(
     kernels: list[Kernel],
     *,
     executor: str = "iter",
-    min_batch: int = 4,
     max_violations: int = 50,
 ) -> SanitizeReport:
     """Shadow-execute *schedule* and check every memory dependence.
@@ -471,9 +440,7 @@ def sanitize_schedule(
     with rec.span(
         "sanitize.run", executor=executor, vertices=schedule.n_vertices
     ) as span:
-        sp, wp, tt = execution_coordinates(
-            schedule, kernels, executor, min_batch=min_batch
-        )
+        sp, wp, tt = execution_coordinates(schedule, kernels, executor)
         if np.any(sp < 0):
             missing = np.nonzero(sp < 0)[0]
             raise ScheduleError(

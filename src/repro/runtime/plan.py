@@ -1,11 +1,12 @@
 """Compiled execution plans: level-batched vectorized schedule execution.
 
-The batched executor (:mod:`repro.runtime.batched`) only vectorizes
-kernels with an *empty* intra-DAG, so dependence-carrying kernels —
-SpTRSV, SpIC0, SpILU0, the very loops the paper fuses — fall back to
-per-iteration Python. This module removes that limit by compiling a
+The per-iteration executor (:func:`repro.runtime.executor.execute_schedule`)
+is the semantics oracle but pays one Python call per iteration. This
+module is the fast path: it compiles a
 :class:`~repro.schedule.schedule.FusedSchedule` plus its kernel list
-*once* into a flat, array-backed :class:`ExecutionPlan`:
+*once* into a flat, array-backed :class:`ExecutionPlan`, vectorizing
+the dependence-carrying kernels (SpTRSV, SpIC0, SpILU0 — the very loops
+the paper fuses) as well as the parallel ones:
 
 * Within every w-partition, iterations are regrouped by loop (ascending
   program order) and each dependence-carrying group is split into
@@ -17,10 +18,10 @@ per-iteration Python. This module removes that limit by compiling a
   ``np.add.reduceat`` segment boundaries up front, so executing the plan
   does no index arithmetic at all — only gathers, segment reductions and
   scatters.
-* The plan is memoized on ``schedule.meta`` (:func:`plan_for`), so
-  repeated executions of the same schedule — Gauss-Seidel sweeps,
-  preconditioner applications inside a Krylov loop, benchmark reps —
-  skip compilation entirely. Counters ``plan.cache_hits`` /
+* The plan is compiled once and reused: the solvers pass their own
+  :func:`compile_plan` result as ``plan=`` to every Gauss-Seidel sweep
+  or preconditioner application, and other callers get it memoized on
+  ``schedule.meta`` (:func:`plan_for`). Counters ``plan.cache_hits`` /
   ``plan.cache_misses`` and the ``plan.compile_seconds`` counter under
   :mod:`repro.obs` make the amortization visible.
 
@@ -59,6 +60,12 @@ __all__ = [
 
 _PLAN_CACHE_KEY = "_execution_plans"
 
+#: Group/level size below which a step runs per iteration. Every
+#: vectorized dispatch pays a fixed cost of several microseconds (index
+#: conversion, ufunc dispatch) while a scalar iteration pays one Python
+#: call, so below about 4 iterations vectorizing loses.
+MIN_BATCH = 4
+
 
 @dataclass
 class PlanStep:
@@ -90,7 +97,6 @@ class ExecutionPlan:
     """
 
     loop_counts: tuple[int, ...]
-    min_batch: int
     steps: list[PlanStep]
     kernels: list[Kernel]
     n_level_steps: int = 0
@@ -119,17 +125,11 @@ def _split_levels(iters: np.ndarray, levels: np.ndarray) -> list[np.ndarray]:
 
 
 def compile_plan(
-    schedule: FusedSchedule,
-    kernels: list[Kernel],
-    *,
-    min_batch: int = 4,
+    schedule: FusedSchedule, kernels: list[Kernel]
 ) -> ExecutionPlan:
     """Compile *schedule* + *kernels* into an :class:`ExecutionPlan`.
 
-    ``min_batch`` is the group/level size below which the per-iteration
-    path stays cheaper than vectorized dispatch (see
-    :func:`repro.runtime.batched.execute_schedule_batched` for the
-    tradeoff discussion).
+    Groups and levels smaller than :data:`MIN_BATCH` become scalar steps.
     """
     if len(kernels) != len(schedule.loop_counts):
         raise ValueError(
@@ -171,11 +171,11 @@ def compile_plan(
                 k = int(loop_of[group[0]])
                 kern = kernels[k]
                 iters = group - int(offsets[k])
-                if level_capable[k] and iters.shape[0] >= min_batch:
+                if level_capable[k] and iters.shape[0] >= MIN_BATCH:
                     if kern_levels[k] is None:
                         kern_levels[k] = kern.intra_dag().levels()
                     for chunk in _split_levels(iters, kern_levels[k]):
-                        if chunk.shape[0] >= min_batch:
+                        if chunk.shape[0] >= MIN_BATCH:
                             steps.append(
                                 PlanStep(
                                     "level",
@@ -191,7 +191,7 @@ def compile_plan(
                         else:
                             steps.append(PlanStep("scalar", k, chunk, s=s, w=w))
                             n_scalar_iters += chunk.shape[0]
-                elif batch_capable[k] and iters.shape[0] >= min_batch:
+                elif batch_capable[k] and iters.shape[0] >= MIN_BATCH:
                     steps.append(PlanStep("batch", k, iters, s=s, w=w))
                     n_batch += 1
                     n_batched_iters += iters.shape[0]
@@ -204,7 +204,6 @@ def compile_plan(
         rec.count(names.PLAN_LEVEL_STEPS, n_level)
     return ExecutionPlan(
         loop_counts=tuple(schedule.loop_counts),
-        min_batch=min_batch,
         steps=steps,
         kernels=list(kernels),
         n_level_steps=n_level,
@@ -215,22 +214,17 @@ def compile_plan(
     )
 
 
-def plan_for(
-    schedule: FusedSchedule,
-    kernels: list[Kernel],
-    *,
-    min_batch: int = 4,
-) -> ExecutionPlan:
+def plan_for(schedule: FusedSchedule, kernels: list[Kernel]) -> ExecutionPlan:
     """Memoized :func:`compile_plan`: cached on ``schedule.meta``.
 
-    The cache key is the identity of the kernel objects plus
-    ``min_batch``; the plan holds strong references to its kernels, so
-    an ``id()`` can never be recycled while its cache entry is alive.
+    The cache key is the identity of the kernel objects; the plan holds
+    strong references to its kernels, so an ``id()`` can never be
+    recycled while its cache entry is alive.
     Counters ``plan.cache_hits`` / ``plan.cache_misses`` record the
     amortization.
     """
     cache = schedule.meta.setdefault(_PLAN_CACHE_KEY, {})
-    key = (tuple(id(k) for k in kernels), int(min_batch))
+    key = tuple(id(k) for k in kernels)
     rec = current_recorder()
     plan = cache.get(key)
     if plan is not None:
@@ -239,7 +233,7 @@ def plan_for(
         return plan
     if rec.enabled:
         rec.count(names.PLAN_CACHE_MISSES)
-    plan = compile_plan(schedule, kernels, min_batch=min_batch)
+    plan = compile_plan(schedule, kernels)
     cache[key] = plan
     return plan
 
@@ -249,7 +243,6 @@ def execute_schedule_planned(
     kernels: list[Kernel],
     state: State,
     *,
-    min_batch: int = 4,
     plan: ExecutionPlan | None = None,
     sanitize: bool = False,
 ) -> State:
@@ -268,11 +261,9 @@ def execute_schedule_planned(
     if sanitize:
         from ..obs.memtrace import sanitize_schedule
 
-        sanitize_schedule(
-            schedule, kernels, executor="plan", min_batch=min_batch
-        ).raise_if_violations()
+        sanitize_schedule(schedule, kernels, executor="plan").raise_if_violations()
     if plan is None:
-        plan = plan_for(schedule, kernels, min_batch=min_batch)
+        plan = plan_for(schedule, kernels)
     elif len(kernels) != len(plan.loop_counts):
         raise ValueError(
             f"{len(kernels)} kernels for {len(plan.loop_counts)} loops"

@@ -25,6 +25,7 @@ from ..kernels.sptrsv_backward import SpTRSVBackwardCSR
 from ..obs import current as current_recorder
 from ..runtime.executor import allocate_state
 from ..runtime.machine import MachineConfig, SimulatedMachine
+from ..runtime.plan import compile_plan, execute_schedule_planned
 from ..sparse.csr import CSRMatrix
 from ..sparse.factor import ic0_csc
 
@@ -94,12 +95,11 @@ def pcg_ic0(
     x = np.zeros(a.n_rows) if x0 is None else np.asarray(x0, dtype=np.float64)
     r = b - a.matvec(x)
     b_norm = float(np.linalg.norm(b)) or 1.0
+    plan = compile_plan(fused.schedule, fused.kernels)
 
     def apply_precond(res_vec: np.ndarray) -> np.ndarray:
-        from ..runtime.batched import execute_schedule_batched
-
         state["r"][:] = res_vec
-        execute_schedule_batched(fused.schedule, fused.kernels, state)
+        execute_schedule_planned(fused.schedule, fused.kernels, state, plan=plan)
         return state["z"].copy()
 
     z = apply_precond(r)

@@ -123,6 +123,25 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["fuse", "--combo", "9"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fuse", "--executor", "batched"],
+            ["gs", "--executor", "batched"],
+            ["sanitize", "--executor", "batched"],
+            ["fuse", "--min-batch", "4"],
+            ["compare", "--min-batch", "4"],
+            ["gs", "--min-batch", "4"],
+            ["sanitize", "--min-batch", "4"],
+        ],
+        ids=lambda argv: "-".join(a.lstrip("-") for a in argv),
+    )
+    def test_removed_executor_options_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
     def test_trace_unwritable_path_is_clear_error(self, tmp_path, capsys):
         bad = tmp_path / "no" / "such" / "dir" / "t.json"
         rc = main(
@@ -220,7 +239,7 @@ class TestSanitizeCommand:
         rc = main(["sanitize", "--matrix", "lap2d:8", "--combo", "1"])
         assert rc == 0
         out = capsys.readouterr().out
-        for executor in ("iter", "batched", "plan"):
+        for executor in ("iter", "plan"):
             assert f"sanitizer[{executor}]: clean" in out
 
     def test_sanitize_single_executor_and_json(self, tmp_path, capsys):
@@ -229,12 +248,12 @@ class TestSanitizeCommand:
         jp = tmp_path / "san.json"
         rc = main(
             ["sanitize", "--matrix", "lap2d:8", "--combo", "3",
-             "--executor", "batched", "--json", str(jp)]
+             "--executor", "plan", "--json", str(jp)]
         )
         assert rc == 0
         payload = json.loads(jp.read_text())
         assert len(payload) == 1
-        assert payload[0]["executor"] == "batched"
+        assert payload[0]["executor"] == "plan"
         assert payload[0]["clean"] is True
 
     def test_fuse_sanitize_flag(self, capsys):

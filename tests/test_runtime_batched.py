@@ -1,4 +1,8 @@
-"""Batched executor and vectorized array-helper tests."""
+"""Batched execution: array helpers, kernel ``run_batch``, plan steps.
+
+``run_batch`` is what a compiled plan's ``"batch"`` steps call; each
+kernel check compares it with the per-iteration loop, and the executor
+checks compare plans that take batch/level steps with the oracle."""
 
 import numpy as np
 import pytest
@@ -8,9 +12,11 @@ from repro.fusion import COMBINATIONS, build_combination
 from repro.kernels import DScalCSR, SpMVCSC, SpMVCSR, internal_var
 from repro.runtime import (
     allocate_state,
+    compile_plan,
     execute_schedule,
-    execute_schedule_batched,
+    execute_schedule_planned,
 )
+from repro.schedule import FusedSchedule
 from repro.utils import multi_range, segment_sums
 
 
@@ -105,27 +111,32 @@ class TestRunBatch:
 
 
 class TestBatchedExecutor:
+    """The plan executor's batched (``"batch"``/``"level"``) steps."""
+
     @pytest.mark.parametrize("cid", sorted(COMBINATIONS))
     def test_matches_per_iteration_everywhere(self, cid, lap3d_nd):
         kernels, state = build_combination(cid, lap3d_nd, seed=cid)
         fl = fuse(kernels, 8)
+        plan = compile_plan(fl.schedule, kernels)
+        assert plan.n_batched_iterations > 0, cid  # batching really ran
         st1 = {k: v.copy() for k, v in state.items()}
         st2 = {k: v.copy() for k, v in state.items()}
         execute_schedule(fl.schedule, kernels, st1)
-        execute_schedule_batched(fl.schedule, kernels, st2)
+        execute_schedule_planned(fl.schedule, kernels, st2, plan=plan)
         for var in st1:
             if internal_var(var):
                 continue
             assert np.allclose(st1[var], st2[var], atol=1e-12), (cid, var)
 
     def test_repeated_execution_stays_consistent(self, lap2d_nd, rng):
-        """Re-running a chunk on evolving state (the solver pattern) —
-        the scenario that exposed the original batching bug."""
+        """Re-running one prebuilt plan on evolving state (the solver
+        pattern: ``compile_plan`` once, ``plan=`` on every sweep)."""
         from repro.solvers import build_gs_chain
         from repro.solvers.gauss_seidel import gs_split
 
         kernels, xi, xo = build_gs_chain(lap2d_nd, 2)
         fl = fuse(kernels, 6, validate=False)
+        plan = compile_plan(fl.schedule, kernels)
         low, e = gs_split(lap2d_nd)
         st1 = allocate_state(kernels)
         st1["Lx"][:] = low.data
@@ -135,24 +146,40 @@ class TestBatchedExecutor:
         for _ in range(10):
             execute_schedule(fl.schedule, kernels, st1)
             st1[xi][:] = st1[xo]
-            execute_schedule_batched(fl.schedule, kernels, st2)
+            execute_schedule_planned(fl.schedule, kernels, st2, plan=plan)
             st2[xi][:] = st2[xo]
         assert np.allclose(st1[xo], st2[xo], atol=1e-13)
+        assert "_execution_plans" not in fl.schedule.meta
 
-    def test_min_batch_respected(self, lap2d_nd, rng):
+    def test_min_batch_respected(self, lap2d_nd, monkeypatch):
+        """No batched step is shorter than ``MIN_BATCH``; raising it past
+        every group size leaves only scalar steps, bitwise equal to iter."""
         kernels, state = build_combination(3, lap2d_nd, seed=1)
         fl = fuse(kernels, 4)
+        plan = compile_plan(fl.schedule, kernels)
+        from repro.runtime.plan import MIN_BATCH
+
+        batched = [st for st in plan.steps if st.kind != "scalar"]
+        assert batched
+        assert all(st.iters.shape[0] >= MIN_BATCH for st in batched)
+        monkeypatch.setattr("repro.runtime.plan.MIN_BATCH", 10**9)
+        scalar_plan = compile_plan(fl.schedule, kernels)
+        assert {st.kind for st in scalar_plan.steps} == {"scalar"}
         st = {k: v.copy() for k, v in state.items()}
-        execute_schedule_batched(fl.schedule, kernels, st, min_batch=10**9)
+        execute_schedule_planned(fl.schedule, kernels, st, plan=scalar_plan)
         ref = {k: v.copy() for k, v in state.items()}
         execute_schedule(fl.schedule, kernels, ref)
         for var in st:
             assert np.array_equal(st[var], ref[var]), var
 
     def test_loop_count_mismatch_rejected(self, lap2d_nd):
+        """A loop-count mismatch is rejected both when compiling and when
+        a prebuilt plan is passed with the wrong kernel list."""
         kernels, state = build_combination(1, lap2d_nd)
-        from repro.schedule import FusedSchedule
-
         bad = FusedSchedule((1,), [[np.array([0])]])
         with pytest.raises(ValueError):
-            execute_schedule_batched(bad, kernels, state)
+            compile_plan(bad, kernels)
+        fl = fuse(kernels, 4)
+        plan = compile_plan(fl.schedule, kernels)
+        with pytest.raises(ValueError):
+            execute_schedule_planned(fl.schedule, kernels[:1], state, plan=plan)

@@ -26,11 +26,11 @@ from repro.obs import recording
 from repro.schedule import FusedSchedule
 
 
-def _run_both(schedule, kernels, state, **plan_kwargs):
+def _run_both(schedule, kernels, state):
     st1 = {k: v.copy() for k, v in state.items()}
     st2 = {k: v.copy() for k, v in state.items()}
     execute_schedule(schedule, kernels, st1)
-    execute_schedule_planned(schedule, kernels, st2, **plan_kwargs)
+    execute_schedule_planned(schedule, kernels, st2)
     return st1, st2
 
 
@@ -56,6 +56,20 @@ class TestEquivalence:
                 continue
             assert np.allclose(st1[var], st2[var], atol=1e-12), (cid, var)
 
+    @pytest.mark.parametrize("cid", (1, 3))
+    @pytest.mark.parametrize("scheduler", ("ico", "joint-wavefront"))
+    def test_matches_per_iteration_by_scheduler(self, cid, scheduler, lap2d_nd):
+        """Schedules of the joint-DAG wavefront scheduler as well as ICO."""
+        kernels, state = build_combination(cid, lap2d_nd, seed=cid)
+        fl = fuse(kernels, 6, scheduler=scheduler)
+        st1, st2 = _run_both(fl.schedule, kernels, state)
+        for var in st1:
+            assert np.allclose(st1[var], st2[var], atol=1e-12), (
+                cid,
+                scheduler,
+                var,
+            )
+
     def test_factorizations_bitwise(self, lap3d_nd):
         """SpIC0/SpILU0 level batches replay the exact scalar update
         order — not just close, identical."""
@@ -72,14 +86,30 @@ class TestEquivalence:
                             var,
                         )
 
-    def test_huge_min_batch_is_bitwise_scalar(self, lap2d_nd):
-        """min_batch beyond every group size forces the scalar path,
+    def test_huge_min_batch_is_bitwise_scalar(self, lap2d_nd, monkeypatch):
+        """MIN_BATCH beyond every group size forces the scalar path,
         which must be bitwise-faithful to the packed order."""
+        monkeypatch.setattr("repro.runtime.plan.MIN_BATCH", 10**9)
         kernels, state = build_combination(3, lap2d_nd, seed=1)
         fl = fuse(kernels, 4)
-        st1, st2 = _run_both(fl.schedule, kernels, state, min_batch=10**9)
+        st1, st2 = _run_both(fl.schedule, kernels, state)
+        assert plan_for(fl.schedule, kernels).n_scalar_iterations == sum(
+            fl.schedule.loop_counts
+        )
         for var in st1:
             assert np.array_equal(st1[var], st2[var]), var
+
+    @pytest.mark.parametrize("scheduler", ("ico", "joint-wavefront"))
+    def test_ic0_forward_backward_chain(self, scheduler, lap2d_nd, rng):
+        """The PCG preconditioner chain: forward then backward SpTRSV."""
+        from repro.solvers import build_ic0_preconditioner
+
+        fused, state = build_ic0_preconditioner(
+            lap2d_nd, 4, scheduler=scheduler
+        )
+        state["r"][:] = rng.random(lap2d_nd.n_rows)
+        st1, st2 = _run_both(fused.schedule, fused.kernels, state)
+        assert np.allclose(st1["z"], st2["z"], atol=1e-12)
 
     def test_planned_deterministic_across_runs(self, lap3d_nd):
         """Two planned executions of the same plan are bitwise equal."""
@@ -159,14 +189,6 @@ class TestMemoization:
         fl = fuse(kernels, 4)
         assert plan_for(fl.schedule, kernels) is plan_for(fl.schedule, kernels)
 
-    def test_min_batch_keys_cache(self, lap2d_nd):
-        kernels, _ = build_combination(1, lap2d_nd)
-        fl = fuse(kernels, 4)
-        p4 = plan_for(fl.schedule, kernels, min_batch=4)
-        p8 = plan_for(fl.schedule, kernels, min_batch=8)
-        assert p4 is not p8
-        assert p4.min_batch == 4 and p8.min_batch == 8
-
     def test_schedule_copy_does_not_share_plans(self, lap2d_nd):
         """copy() duplicates meta, so a copied schedule re-compiles —
         plan-cache invalidation is by schedule object identity."""
@@ -206,6 +228,22 @@ class TestSolverIntegration:
             st1[xi][:] = st1[xo]
             execute_schedule_planned(fl.schedule, kernels, st2)
             st2[xi][:] = st2[xo]
+        assert np.allclose(st1[xo], st2[xo], atol=1e-13)
+
+    def test_gs_chain_matches_iter(self, lap2d_nd, rng):
+        """One application of the unrolled GS chain (SpMV + TRSV
+        alternation) agrees with the per-iteration executor."""
+        from repro.solvers import build_gs_chain
+        from repro.solvers.gauss_seidel import gs_split
+
+        kernels, _, xo = build_gs_chain(lap2d_nd, 2)
+        fl = fuse(kernels, 6, validate=False)
+        low, e = gs_split(lap2d_nd)
+        state = allocate_state(kernels)
+        state["Lx"][:] = low.data
+        state["Ex"][:] = e.data
+        state["b"][:] = rng.random(lap2d_nd.n_rows)
+        st1, st2 = _run_both(fl.schedule, kernels, state)
         assert np.allclose(st1[xo], st2[xo], atol=1e-13)
 
     def test_gauss_seidel_executor_plan(self, lap2d_nd, rng):

@@ -91,3 +91,24 @@ def test_gs_rejects_rectangular():
     a = CSRMatrix.from_dense(np.ones((2, 3)))
     with pytest.raises(ValueError, match="square"):
         gauss_seidel(a, np.ones(2))
+
+
+def test_gs_result_does_not_pin_plan(lap2d_nd, rng):
+    """The returned schedule carries no memoized plan: a kept result
+    must not keep the compiled plan and its kernels alive."""
+    res = gauss_seidel(lap2d_nd, rng.random(lap2d_nd.n_rows), executor="plan")
+    assert res.converged
+    assert "_execution_plans" not in res.schedule.meta
+
+
+@pytest.mark.parametrize(
+    "matrix, iterations", [("lap2d_nd", 234), ("lap2d_small", 112)]
+)
+def test_gs_plan_keeps_iterations_and_matches_iter(matrix, iterations, request):
+    a = request.getfixturevalue(matrix)
+    b = np.random.default_rng(12345).random(a.n_rows)
+    ref = gauss_seidel(a, b, executor="iter")
+    res = gauss_seidel(a, b)  # default executor: plan
+    assert res.converged and ref.converged
+    assert res.iterations == ref.iterations == iterations
+    assert np.allclose(res.x, ref.x, atol=1e-12)

@@ -87,3 +87,30 @@ def test_pcg_metadata(lap2d_nd, rng):
         res.meta["applications"] * res.meta["per_application_seconds"]
     )
     assert res.setup_seconds > 0
+
+
+@pytest.mark.parametrize(
+    "matrix, iterations", [("lap2d_nd", 19), ("lap2d_small", 12)]
+)
+def test_pcg_plan_keeps_iterations_and_matches_iter(
+    matrix, iterations, request, monkeypatch
+):
+    """The plan-executed solve matches one whose preconditioner runs
+    through the per-iteration oracle, iteration for iteration."""
+    import repro.solvers.pcg as pcg_mod
+    from repro.runtime import execute_schedule
+
+    a = request.getfixturevalue(matrix)
+    b = np.random.default_rng(12345).random(a.n_rows)
+    res = pcg_ic0(a, b)
+    monkeypatch.setattr(
+        pcg_mod,
+        "execute_schedule_planned",
+        lambda sched, kernels, state, plan: execute_schedule(
+            sched, kernels, state
+        ),
+    )
+    ref = pcg_ic0(a, b)
+    assert res.converged and ref.converged
+    assert res.iterations == ref.iterations == iterations
+    assert np.allclose(res.x, ref.x, atol=1e-12)
