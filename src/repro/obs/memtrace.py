@@ -61,6 +61,8 @@ from . import names
 from .recorder import current as current_recorder
 
 __all__ = [
+    "LINE_BYTES",
+    "ELEMS_PER_LINE",
     "AccessStream",
     "DependencePairs",
     "AccessSite",
@@ -71,7 +73,13 @@ __all__ = [
     "derive_dependence_pairs",
     "execution_coordinates",
     "sanitize_schedule",
+    "var_extents",
 ]
+
+#: modeled cache-line size of the cache simulator and the locality
+#: profiler; every state variable is float64
+LINE_BYTES = 64
+ELEMS_PER_LINE = LINE_BYTES // 8
 
 #: access-kind codes in the stream (``update`` = commutative RMW)
 READ, WRITE, UPDATE = 0, 1, 2
@@ -92,8 +100,11 @@ _KIND_LABEL = {
 class AccessStream:
     """Flat element-granular access stream of a whole fused program.
 
-    One entry per declared ``(vertex, variable, element, kind)`` access;
-    entries are in no particular order until a consumer sorts them.
+    One entry per declared ``(vertex, variable, element, kind)`` access.
+    Per kernel, entries come in replay order: the read map of each
+    ``read_vars`` variable, then the write map of each ``write_vars``
+    variable. A stable sort by execution position therefore yields each
+    iteration's accesses in the order the cache simulator replays them.
     """
 
     var: np.ndarray  #: variable id (index into :attr:`var_names`)
@@ -101,6 +112,7 @@ class AccessStream:
     gid: np.ndarray  #: global vertex id (program order)
     kind: np.ndarray  #: READ / WRITE / UPDATE
     loop: np.ndarray  #: loop (kernel) index of the vertex
+    is_write: np.ndarray  #: entry comes from a write map (UPDATE has both)
     var_names: tuple[str, ...]
     n_vertices: int
 
@@ -240,61 +252,61 @@ class SanitizeReport:
 # ----------------------------------------------------------------------
 # access-stream collection
 # ----------------------------------------------------------------------
+def var_extents(kernels: list[Kernel]) -> dict[str, int]:
+    """Element count of every variable, first-declared order.
+
+    A variable several kernels share gets the largest declared size.
+    """
+    sizes: dict[str, int] = {}
+    for k in kernels:
+        for var, size in k.var_sizes().items():
+            sizes[var] = max(size, sizes.get(var, 0))
+    return sizes
+
+
 def collect_access_stream(
     schedule: FusedSchedule, kernels: list[Kernel]
 ) -> AccessStream:
     """Assemble the element-granular access stream of *kernels*.
 
     Walks each kernel's memoized access maps
-    (:meth:`~repro.kernels.base.Kernel.access_maps`); accesses of a
-    variable kind declared in ``atomic_update_vars`` enter the stream as
-    UPDATE entries.
+    (:meth:`~repro.kernels.base.Kernel.access_maps`) in replay order
+    (see :class:`AccessStream`); accesses of a variable kind declared in
+    ``atomic_update_vars`` enter the stream as UPDATE entries.
     """
     offsets = schedule.offsets
     var_names = tuple(sorted({v for k in kernels for v in k.all_vars}))
     var_id = {v: i for i, v in enumerate(var_names)}
-    vs: list[np.ndarray] = []
-    es: list[np.ndarray] = []
-    gs: list[np.ndarray] = []
-    ks: list[np.ndarray] = []
-    ls: list[np.ndarray] = []
+    segments: list[tuple[int, int, int, int]] = []  # var, kind, loop, is_write
+    sizes: list[int] = []
+    elems: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    gids: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
     for ki, kern in enumerate(kernels):
         upd = getattr(kern, "atomic_update_vars", {})
         iters = np.arange(kern.n_iterations, dtype=np.int64)
-        for var in kern.all_vars:
-            rmap, wmap = kern.access_maps(var)
-            for kind_name, m in (("read", rmap), ("write", wmap)):
-                if m is None:
-                    continue
-                indptr, idx = m
-                if idx.shape[0] == 0:
-                    continue
-                gids = int(offsets[ki]) + np.repeat(iters, np.diff(indptr))
-                if kind_name in upd.get(var, ()):
-                    kind = UPDATE
-                else:
-                    kind = READ if kind_name == "read" else WRITE
-                n = idx.shape[0]
-                vs.append(np.full(n, var_id[var], dtype=np.int64))
-                es.append(np.asarray(idx, dtype=np.int64))
-                gs.append(gids.astype(np.int64))
-                ks.append(np.full(n, kind, dtype=np.int8))
-                ls.append(np.full(n, ki, dtype=np.int64))
-    if vs:
-        var = np.concatenate(vs)
-        elem = np.concatenate(es)
-        gid = np.concatenate(gs)
-        kind = np.concatenate(ks)
-        loop = np.concatenate(ls)
-    else:
-        var = elem = gid = loop = np.empty(0, dtype=np.int64)
-        kind = np.empty(0, dtype=np.int8)
+        replay = [(var, 0) for var in kern.read_vars]
+        replay += [(var, 1) for var in kern.write_vars]
+        for var, half in replay:
+            indptr, idx = kern.access_maps(var)[half]
+            if idx.shape[0] == 0:
+                continue
+            if ("read", "write")[half] in upd.get(var, ()):
+                kind = UPDATE
+            else:
+                kind = WRITE if half else READ
+            segments.append((var_id[var], kind, ki, half))
+            sizes.append(idx.shape[0])
+            elems.append(np.asarray(idx, dtype=np.int64))
+            gids.append(int(offsets[ki]) + np.repeat(iters, np.diff(indptr)))
+    meta = np.array(segments, dtype=np.int64).reshape(-1, 4)
+    var, kind, loop, is_write = (np.repeat(meta[:, c], sizes) for c in range(4))
     return AccessStream(
         var=var,
-        elem=elem,
-        gid=gid,
-        kind=kind,
+        elem=np.concatenate(elems),
+        gid=np.concatenate(gids),
+        kind=kind.astype(np.int8),
         loop=loop,
+        is_write=is_write.astype(bool),
         var_names=var_names,
         n_vertices=schedule.n_vertices,
     )

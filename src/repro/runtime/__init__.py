@@ -1,8 +1,7 @@
 """Runtime: executors, the simulated machine, the cache model, metrics."""
 
-from .cache import AddressSpace, CacheConfig, LRUCache, ThreadCache
 from .executor import allocate_state, execute_schedule, run_reference
-from .machine import MachineConfig, MachineReport, SimulatedMachine
+from .machine import CacheConfig, MachineConfig, MachineReport, SimulatedMachine
 from .plan import (
     ExecutionPlan,
     PlanStep,
@@ -23,10 +22,7 @@ from .threaded import ThreadedExecutor
 from .trace import export_chrome_trace, simulated_trace_events
 
 __all__ = [
-    "AddressSpace",
     "CacheConfig",
-    "LRUCache",
-    "ThreadCache",
     "allocate_state",
     "execute_schedule",
     "execute_schedule_planned",

@@ -10,8 +10,13 @@ exactly the three effects the paper's evaluation turns on:
   w-partition (threads are pinned: w-partition ``w`` runs on thread
   ``w``), idle threads wait;
 * **locality** — per-iteration memory cost comes either from the LRU
-  cache simulator (``fidelity="cache"``, Fig. 6) or from a flat
+  cache model (``fidelity="cache"``, Fig. 6) or from a flat
   per-touched-nonzero charge (``fidelity="flat"``, fast sweeps).
+
+The cache model stands in for the paper's PAPI counters (Fig. 6 top):
+each thread owns a private L1 and an LLC slice, both fully associative
+LRU over 64-byte lines, priced from LRU stack distances over the
+sanitizer's access stream (see :meth:`SimulatedMachine._cache_model`).
 
 The compute charge is ``cycles_per_nnz * c(v) + cycles_per_iter`` with an
 optional per-run ``efficiency`` multiplier (< 1 models hand-vectorized
@@ -40,10 +45,42 @@ import numpy as np
 from ..kernels.base import Kernel
 from ..obs import current as current_recorder
 from ..obs import names
+from ..obs.memtrace import (
+    ELEMS_PER_LINE,
+    AccessStream,
+    collect_access_stream,
+    var_extents,
+)
 from ..schedule.schedule import FusedSchedule
-from .cache import AddressSpace, CacheConfig, ThreadCache
+from ..utils.arrays import stack_distances
 
-__all__ = ["MachineConfig", "MachineReport", "SimulatedMachine"]
+__all__ = ["CacheConfig", "MachineConfig", "MachineReport", "SimulatedMachine"]
+
+
+class CacheConfig:
+    """Latency/size parameters of the simulated hierarchy.
+
+    Defaults approximate one CascadeLake core's share: 32 KiB L1 (512
+    lines), a 1.65 MiB LLC slice (27k lines ≈ 33 MiB / 20 cores), and
+    load-to-use latencies of 1 / 14 / 70 cycles for L1 / LLC / DRAM.
+    """
+
+    __slots__ = ("l1_lines", "llc_lines", "lat_l1", "lat_llc", "lat_mem")
+
+    def __init__(
+        self,
+        *,
+        l1_lines: int = 512,
+        llc_lines: int = 27_000,
+        lat_l1: float = 1.0,
+        lat_llc: float = 14.0,
+        lat_mem: float = 70.0,
+    ):
+        self.l1_lines = int(l1_lines)
+        self.llc_lines = int(llc_lines)
+        self.lat_l1 = float(lat_l1)
+        self.lat_llc = float(lat_llc)
+        self.lat_mem = float(lat_mem)
 
 
 class MachineConfig:
@@ -243,21 +280,18 @@ class SimulatedMachine:
         costs = np.concatenate([k.iteration_costs() for k in kernels])
         n_sp = schedule.n_spartitions
         comp = np.zeros((n_sp, cfg.n_threads))
-        mem = np.zeros((n_sp, cfg.n_threads))
         mem_hit = np.zeros((n_sp, cfg.n_threads))
         mem_miss = np.zeros((n_sp, cfg.n_threads))
         sp_cycles: list[float] = []
         cache_stats: dict[str, float] = {}
 
+        # The cache model prices memory; in cache fidelity the flat
+        # per-nnz charge would double-count it, so only the ALU part stays.
+        per_nnz = cfg.cycles_per_nnz
         if fidelity == "cache":
-            space = AddressSpace()
-            sizes: dict[str, int] = {}
-            for k in kernels:
-                for var, size in k.var_sizes().items():
-                    sizes[var] = max(size, sizes.get(var, 0))
-            for var, size in sizes.items():
-                space.register(var, size)
-            caches = [ThreadCache(cfg.cache) for _ in range(cfg.n_threads)]
+            mem_hit, mem_miss, cache_stats = self._cache_model(schedule, kernels)
+            per_nnz = 1.0
+        mem = mem_hit + mem_miss
 
         loop_of = np.zeros(schedule.n_vertices, dtype=np.int64)
         for k in range(len(kernels)):
@@ -266,35 +300,10 @@ class SimulatedMachine:
         for s, wlist in enumerate(schedule.s_partitions):
             for w, verts in enumerate(wlist):
                 thread = w % cfg.n_threads
-                compute = (
-                    cfg.cycles_per_nnz * float(costs[verts].sum())
+                comp[s, thread] += (
+                    per_nnz * float(costs[verts].sum())
                     + cfg.cycles_per_iter * verts.shape[0]
                 ) * efficiency
-                if fidelity == "cache":
-                    tc = caches[thread]
-                    hit0, miss0 = tc.hit_cycles, tc.miss_cycles
-                    for v in verts.tolist():
-                        k = int(loop_of[v])
-                        i = v - int(offsets[k])
-                        kern = kernels[k]
-                        for var in kern.read_vars:
-                            idx = kern.reads_of(var, i)
-                            if idx.shape[0]:
-                                tc.access_elements(space.bases[var], idx)
-                        for var in kern.write_vars:
-                            idx = kern.writes_of(var, i)
-                            if idx.shape[0]:
-                                tc.access_elements(space.bases[var], idx)
-                    mem_hit[s, thread] += tc.hit_cycles - hit0
-                    mem_miss[s, thread] += tc.miss_cycles - miss0
-                    mem[s, thread] += (tc.hit_cycles - hit0) + (tc.miss_cycles - miss0)
-                    # In cache fidelity the flat per-nnz charge would
-                    # double-count memory; keep only the iteration/ALU part.
-                    compute = (
-                        cfg.cycles_per_iter * verts.shape[0]
-                        + 1.0 * float(costs[verts].sum())
-                    ) * efficiency
-                comp[s, thread] += compute
             if sequential_override:
                 # serialize the override loops' work of this s-partition
                 # onto thread 0 (in addition to their parallel cost removal)
@@ -312,17 +321,6 @@ class SimulatedMachine:
                 comp[s, 0] += extra
             busy_s = comp[s] + mem[s]
             sp_cycles.append(float(busy_s.max(initial=0.0)) + cfg.barrier_cycles)
-
-        if fidelity == "cache":
-            rec = current_recorder()
-            agg = {"accesses": 0.0, "l1_hits": 0.0, "llc_hits": 0.0, "misses": 0.0, "cycles": 0.0}
-            for tc in caches:
-                for key, val in tc.stats().items():
-                    if key in agg:
-                        agg[key] += val
-                if rec.enabled:
-                    tc.emit_counters(rec)
-            cache_stats = agg
 
         total = float(sum(sp_cycles))
         report = MachineReport(
@@ -347,3 +345,89 @@ class SimulatedMachine:
             rec.count(names.EXECUTOR_SIM_BARRIER_CYCLES, attr["barrier_cycles"])
             rec.count(names.EXECUTOR_SIM_MAKESPAN_CYCLES, total)
         return report
+
+    def _cache_model(
+        self, schedule: FusedSchedule, kernels: list[Kernel]
+    ) -> tuple[np.ndarray, np.ndarray, dict[str, float]]:
+        """Per-(s-partition, thread) hit and DRAM cycles, plus totals.
+
+        Thread ``w % n_threads`` runs w-partition ``w``; each thread
+        replays its s-partitions, w-partitions and packed iterations in
+        order, and each iteration's accesses in stream order.
+        """
+        cfg = self.config
+        cache = cfg.cache
+        n_threads = cfg.n_threads
+        n_sp = schedule.n_spartitions
+        stream = collect_access_stream(schedule, kernels)
+        lines, n_lines = _line_ids(kernels, stream)
+
+        # Execution order: thread-major, then s, w and packed position.
+        sp, wp, pos = schedule.assignment()
+        thread = wp % n_threads
+        ran = np.nonzero(sp >= 0)[0]
+        ran = ran[np.lexsort((pos[ran], wp[ran], sp[ran], thread[ran]))]
+        rank = np.full(schedule.n_vertices, -1, dtype=np.int64)
+        rank[ran] = np.arange(ran.shape[0])
+        entry_rank = rank[stream.gid]
+        order = np.nonzero(entry_rank >= 0)[0]
+        order = order[np.argsort(entry_rank[order], kind="stable")]
+        gid = stream.gid[order]
+        # one private L1 + LLC slice per thread: disjoint line ids
+        level = _cache_levels(thread[gid] * n_lines + lines[order], cache)
+
+        cell = sp[gid] * n_threads + thread[gid]
+        counts = np.bincount(cell * 3 + level, minlength=n_sp * n_threads * 3)
+        cycles = counts.reshape(n_sp, n_threads, 3) * np.array(
+            [cache.lat_l1, cache.lat_llc, cache.lat_mem]
+        )
+        n_l1, n_llc, n_mem = np.bincount(level, minlength=3).tolist()
+        stats = {
+            "accesses": float(level.shape[0]),
+            "l1_hits": float(n_l1),
+            "llc_hits": float(n_llc),
+            "misses": float(n_mem),
+            "cycles": float(cycles.sum()),
+        }
+        rec = current_recorder()
+        if rec.enabled:
+            rec.count(names.CACHE_ACCESSES, stats["accesses"])
+            rec.count(names.CACHE_L1_HITS, stats["l1_hits"])
+            rec.count(names.CACHE_LLC_HITS, stats["llc_hits"])
+            rec.count(names.CACHE_MISSES, stats["misses"])
+        mem_hit = cycles[..., 0] + cycles[..., 1]
+        return mem_hit, cycles[..., 2], stats
+
+
+def _line_ids(
+    kernels: list[Kernel], stream: AccessStream
+) -> tuple[np.ndarray, int]:
+    """Cache-line id of every stream entry, and the number of line ids.
+
+    Address rule: variables in kernel order, each padded by ``size + 8``
+    elements so no two share a line.
+    """
+    bases: dict[str, int] = {}
+    top = 0
+    for var, size in var_extents(kernels).items():
+        bases[var] = top
+        top += size + 8
+    var_base = np.array([bases[v] for v in stream.var_names], dtype=np.int64)
+    lines = (var_base[stream.var] + stream.elem) // ELEMS_PER_LINE
+    return lines, top // ELEMS_PER_LINE + 1
+
+
+def _cache_levels(lines: np.ndarray, cache: CacheConfig) -> np.ndarray:
+    """Level serving each access of *lines*: 0 = L1, 1 = LLC, 2 = DRAM.
+
+    *lines* is one cache's access stream in execution order (streams of
+    several private caches may be concatenated with disjoint line ids).
+    An access hits the L1 when its stack distance is below ``l1_lines``;
+    the LLC sees only the L1 misses and hits below ``llc_lines``.
+    """
+    d_l1 = stack_distances(lines)
+    miss = ~((d_l1 >= 0) & (d_l1 < cache.l1_lines))
+    d_llc = stack_distances(lines[miss])
+    level = np.zeros(lines.shape[0], dtype=np.int64)
+    level[miss] = np.where((d_llc >= 0) & (d_llc < cache.llc_lines), 1, 2)
+    return level

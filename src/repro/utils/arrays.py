@@ -11,6 +11,7 @@ __all__ = [
     "segment_sums",
     "segment_boundaries",
     "segment_sums_at",
+    "stack_distances",
 ]
 
 
@@ -74,4 +75,69 @@ def segment_sums_at(
     out = np.zeros(n_segments, dtype=values.dtype)
     if reduce_starts.shape[0]:
         out[nonempty] = np.add.reduceat(values, reduce_starts)
+    return out
+
+
+def stack_distances(lines: np.ndarray) -> np.ndarray:
+    """LRU stack distance of every access in *lines* (``-1`` on first touch).
+
+    The distance of access ``t`` is the number of distinct lines touched
+    strictly between it and the previous access ``p`` to the same line.
+    A fully associative LRU cache of ``C`` lines hits exactly when
+    ``0 <= d < C`` (Mattson's stack property), so one call prices every
+    capacity at once. Independent streams can share a call when they are
+    concatenated with disjoint line ids.
+
+    With ``next(j)`` the next access to the line of ``j`` (``n`` if
+    none), the lines of ``(p, t)`` whose last touch there is before ``t``
+    are exactly the ``j`` with ``next(j) < t``, so::
+
+        d(t) = (t - p - 1) - (#{j : next(j) < t} - #{j <= p : next(j) < t})
+
+    The first count is the number of reuses before ``t``. The second is
+    a 2-D dominance count, answered for every ``t`` at once by a
+    merge-sort tree over ``j``: the prefix ``[0, p]`` splits into one
+    aligned block per set bit of ``p + 1``, and each level keeps its
+    blocks' ``next`` values sorted, so a block's count is one
+    ``searchsorted``. Going up a level merges sorted runs (one stable
+    sort); queries are sorted once by ``p``, so each level searches the
+    blocks in order. O(n log^2 n) time, O(n) extra memory.
+    """
+    lines = np.asarray(lines)
+    n = lines.shape[0]
+    out = np.full(n, -1, dtype=np.int64)
+    if n < 2:
+        return out
+    order = np.argsort(lines, kind="stable")
+    same = lines[order[1:]] == lines[order[:-1]]
+    prev = order[:-1][same].astype(np.int64)
+    t = order[1:][same].astype(np.int64)
+    nxt = np.full(n, n, dtype=np.int64)
+    nxt[prev] = t
+    reused = np.zeros(n + 1, dtype=np.int64)
+    reused[t + 1] = 1
+    closed = np.cumsum(reused)[t]  # #{j : next(j) < t} = reuses before t
+    # Keys order entries by (block of the level, next value): index j
+    # sits in block j >> l at level l; a query's block is (q >> l) - 1.
+    bits = n.bit_length()
+    low = (1 << bits) - 1
+    keys = (np.arange(n, dtype=np.int64) << bits) | nxt
+    qorder = np.argsort(prev)
+    q, qt = prev[qorder] + 1, t[qorder]  # query: j < q and next(j) < qt
+    found = np.zeros_like(t)  # #{j <= p : next(j) < t}, in query order
+    level = 0
+    while True:
+        sel = ((q >> level) & 1).astype(bool)
+        block = (q[sel] >> level) - 1
+        found[sel] += np.searchsorted(
+            keys, (block << bits) | qt[sel]
+        ) - (block << level)
+        level += 1
+        if (1 << level) > n:
+            break
+        keys = ((keys >> (bits + 1)) << bits) | (keys & low)
+        keys.sort(kind="stable")
+    before_p = np.empty_like(found)
+    before_p[qorder] = found
+    out[t] = (t - prev - 1) - (closed - before_p)
     return out

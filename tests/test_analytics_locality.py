@@ -9,11 +9,12 @@ import pytest
 
 from repro import fuse
 from repro.analytics import diagnose, profile_locality
-from repro.analytics.locality import _BUCKETS, reuse_distance_histogram
+from repro.analytics.locality import _BUCKETS, _replay
 from repro.fusion import build_combination, repack_schedule
 from repro.obs import Recorder, names, sanitize_schedule
 from repro.obs.exporters import export_perfetto
 from repro.obs.recorder import set_recorder
+from repro.schedule import FusedSchedule
 
 
 def profiled(cid, a, *, capacity_lines=16, seed=None):
@@ -33,10 +34,30 @@ def profiled(cid, a, *, capacity_lines=16, seed=None):
 # ----------------------------------------------------------------------
 # reuse-distance histogram (exact LRU stack distances)
 # ----------------------------------------------------------------------
-def test_histogram_alternating_pair():
-    hist, hit_rate, mean = reuse_distance_histogram(
-        np.array([0, 1, 0, 1]), capacity_lines=4
+def replay_stream(stream, *, capacity_lines):
+    """Profile a one-w-partition schedule whose vertex ``i`` touches
+    exactly line ``stream[i]``; returns ``(histogram, hit_rate, mean)``."""
+    n = len(stream)
+    verts = np.arange(n, dtype=np.int64)
+    sched = FusedSchedule(loop_counts=(n,), s_partitions=[[verts]])
+    w_parts, _, n_acc, hit_rate, mean, _ = _replay(
+        sched,
+        verts,
+        np.asarray(stream, dtype=np.int64),
+        np.zeros(n, dtype=bool),
+        max(stream, default=0) + 1,
+        capacity_lines,
     )
+    if not w_parts:  # an empty w-partition gets no record
+        assert n_acc == 0
+        return np.zeros(len(_BUCKETS) + 2, dtype=np.int64), hit_rate, mean
+    (w,) = w_parts
+    assert (w.hit_rate, w.mean_reuse_distance) == (hit_rate, mean)
+    return w.histogram, w.hit_rate, w.mean_reuse_distance
+
+
+def test_histogram_alternating_pair():
+    hist, hit_rate, mean = replay_stream([0, 1, 0, 1], capacity_lines=4)
     assert hist[0] == 2  # two cold misses
     assert hist[1] == 2  # two reuses at stack distance 1 (< 4)
     assert hist.sum() == 4
@@ -45,27 +66,23 @@ def test_histogram_alternating_pair():
 
 
 def test_histogram_capacity_turns_reuse_into_miss():
-    stream = np.array([0, 1, 2, 0])  # distance-2 reuse of line 0
-    _, roomy, _ = reuse_distance_histogram(stream, capacity_lines=4)
-    _, tight, _ = reuse_distance_histogram(stream, capacity_lines=2)
+    stream = [0, 1, 2, 0]  # distance-2 reuse of line 0
+    _, roomy, _ = replay_stream(stream, capacity_lines=4)
+    _, tight, _ = replay_stream(stream, capacity_lines=2)
     assert roomy == 0.25
     assert tight == 0.0
 
 
 def test_histogram_empty_and_cold_only():
-    hist, hit_rate, mean = reuse_distance_histogram(
-        np.array([], dtype=np.int64), capacity_lines=8
-    )
+    hist, hit_rate, mean = replay_stream([], capacity_lines=8)
     assert hist.sum() == 0 and hit_rate == 0.0 and mean == 0.0
-    hist, hit_rate, mean = reuse_distance_histogram(
-        np.arange(10), capacity_lines=8
-    )
+    hist, hit_rate, mean = replay_stream(list(range(10)), capacity_lines=8)
     assert hist[0] == 10 and hist[1:].sum() == 0
     assert hit_rate == 0.0 and mean == 0.0
 
 
 def test_histogram_shape_matches_buckets():
-    hist, _, _ = reuse_distance_histogram(np.array([1, 1]), capacity_lines=2)
+    hist, _, _ = replay_stream([1, 1], capacity_lines=2)
     assert hist.shape == (len(_BUCKETS) + 2,)  # cold + buckets + overflow
 
 

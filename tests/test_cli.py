@@ -133,6 +133,7 @@ class TestCommands:
             ["compare", "--min-batch", "4"],
             ["gs", "--min-batch", "4"],
             ["sanitize", "--min-batch", "4"],
+            ["locality", "--line-bytes", "64"],
         ],
         ids=lambda argv: "-".join(a.lstrip("-") for a in argv),
     )

@@ -5,9 +5,11 @@ Random sparse structures drive the three load-bearing properties:
 1. every scheduler emits *valid* schedules on arbitrary DAG/F shapes,
 2. executing any valid schedule is numerically equivalent to the
    sequential reference,
-3. structural invariants of the substrate (levels/slack, LRU, transpose
-   round-trips) hold for arbitrary inputs.
+3. structural invariants of the substrate (levels/slack, LRU stack
+   distances, transpose round-trips) hold for arbitrary inputs.
 """
+
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -32,6 +34,25 @@ SETTINGS = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+class ReferenceLRU:
+    """A fully associative LRU set of line ids: the oracle the
+    vectorized stack-distance cache model must reproduce."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.lines: OrderedDict[int, None] = OrderedDict()
+
+    def access(self, line: int) -> bool:
+        """Touch *line*; True on hit. Evicts the LRU line when over capacity."""
+        if line in self.lines:
+            self.lines.move_to_end(line)
+            return True
+        self.lines[line] = None
+        if len(self.lines) > self.capacity:
+            self.lines.popitem(last=False)
+        return False
 
 
 @st.composite
@@ -192,13 +213,41 @@ class TestSubstrateInvariants:
         ),
         st.integers(min_value=1, max_value=8),
     )
-    def test_lru_never_exceeds_capacity(self, accesses, cap):
-        from repro.runtime import LRUCache
+    def test_stack_distance_hits_match_reference_lru(self, accesses, cap):
+        from repro.utils.arrays import stack_distances
 
-        c = LRUCache(cap)
+        lru = ReferenceLRU(cap)
+        expected = []
         for line in accesses:
-            c.access(line)
-            assert len(c.lines) <= cap
+            expected.append(lru.access(line))
+            assert len(lru.lines) <= cap
+        d = stack_distances(np.array(accesses, dtype=np.int64))
+        assert ((d >= 0) & (d < cap)).tolist() == expected
+
+    @SETTINGS
+    @given(
+        st.lists(
+            st.integers(min_value=0, max_value=40), min_size=0, max_size=300
+        ),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=24),
+    )
+    def test_cache_levels_match_two_level_reference(self, accesses, l1, llc):
+        from repro.runtime import CacheConfig
+        from repro.runtime.machine import _cache_levels
+
+        ref_l1, ref_llc = ReferenceLRU(l1), ReferenceLRU(llc)
+        expected = []
+        for line in accesses:
+            if ref_l1.access(line):
+                expected.append(0)
+            else:  # the LLC only ever sees L1 misses
+                expected.append(1 if ref_llc.access(line) else 2)
+        levels = _cache_levels(
+            np.array(accesses, dtype=np.int64),
+            CacheConfig(l1_lines=l1, llc_lines=llc),
+        )
+        assert levels.tolist() == expected
 
     @SETTINGS
     @given(lower_matrices())
