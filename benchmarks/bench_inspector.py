@@ -7,10 +7,14 @@ matrix:
   (:mod:`repro.schedule.reference`), the pre-vectorization seed code;
 * ``vec``  — the production frontier-at-a-time LBC/ICO paths
   (:func:`repro.schedule.lbc_schedule` / :func:`repro.schedule.ico_schedule`);
-* ``warm`` — a second :func:`repro.fuse` call with a pattern-keyed
-  :class:`repro.schedule.ScheduleCache`: the scheduling stage is skipped
-  entirely and the inspector pays only DAG/``F`` construction plus the
-  fingerprint hash.
+* ``warm`` — a second :func:`repro.fuse` call with a content-keyed
+  :class:`repro.schedule.ScheduleCache`: the key
+  (:func:`repro.schedule.fingerprint`) is hashed from the kernels before
+  any inspection, so a hit skips DAG/``F`` construction and scheduling
+  alike and the inspector pays only the fingerprint hash and the lookup.
+  The row re-fuses the same kernel objects, whose operand digests are
+  memoized; new kernel objects on the same pattern also hash their
+  operands once.
 
 Workloads: joint-LBC on the SpTRSV DAG (the head-partitioning path) and
 ICO on the TRSV-MV and ILU0-TRSV combinations (Table 1 rows 3 and 5).
@@ -89,7 +93,7 @@ def _ico_row(matrix, combo: int, name: str, reps: int) -> dict:
     vec = _best_of(lambda: ico_schedule(dags, inter, R, reuse), reps)
 
     # Warm-cache inspector: second fuse() against the same pattern pays
-    # only DAG/F construction + the fingerprint hash.
+    # only the fingerprint hash and the lookup.
     cache = ScheduleCache()
     fuse(kernels, R, cache=cache, validate=False)
     warm = min(

@@ -68,7 +68,7 @@ from .obs import (
 )
 from .runtime import MachineConfig
 from .runtime.profiling import format_profile, profile_schedule
-from .schedule import pattern_fingerprint, save_schedule
+from .schedule import save_schedule
 from .sparse import (
     apply_ordering,
     arrow_spd,
@@ -261,8 +261,7 @@ def _cmd_fuse(args) -> int:
     print(_pipeline_summary(rec))
     print(format_profile(profile_schedule(fl.schedule, kernels)))
     if args.save:
-        fp = pattern_fingerprint(*(k.intra_dag() for k in kernels))
-        path = save_schedule(args.save, fl.schedule, fingerprint=fp)
+        path = save_schedule(args.save, fl.schedule, fingerprint=fl.meta["fingerprint"])
         print(f"schedule saved to {path}")
     if args.trace:
         _write_unified_trace(rec, args.trace, fl.schedule, kernels, args.threads)

@@ -23,7 +23,7 @@ from ..obs import names
 from ..runtime.executor import allocate_state, execute_schedule, run_reference
 from ..runtime.machine import MachineConfig, MachineReport, SimulatedMachine
 from ..runtime.threaded import ThreadedExecutor
-from ..schedule.cache import ScheduleCache, get_default_cache, schedule_key
+from ..schedule.cache import ScheduleCache, fingerprint, get_default_cache
 from ..schedule.dagp import dagp_schedule
 from ..schedule.hdagg import hdagg_schedule
 from ..schedule.ico import ico_schedule
@@ -47,17 +47,25 @@ class FusedLoops:
     """Result of fusing a sequence of sparse loops.
 
     Produced by :func:`fuse`; bundles the inspector outputs, the chosen
-    schedule, and convenience executors.
+    schedule, and convenience executors. After a schedule-cache hit,
+    ``dags`` and ``inter`` are built on first access.
     """
 
     kernels: list[Kernel]
-    dags: list[DAG]
-    inter: dict[tuple[int, int], InterDep]
     reuse_ratio: float
     schedule: FusedSchedule
     n_threads: int
     inspector_seconds: float
     meta: dict = field(default_factory=dict)
+    _inspection: tuple | None = field(default=None, repr=False)
+
+    def _inspect(self) -> tuple:
+        if self._inspection is None:
+            self._inspection = inspect_loops(self.kernels)[:2]
+        return self._inspection
+
+    dags = property(lambda self: self._inspect()[0], doc="Intra-DAG per loop.")
+    inter = property(lambda self: self._inspect()[1], doc="The ``F`` matrices.")
 
     def allocate_state(self) -> State:
         """Zeroed state covering every kernel variable."""
@@ -168,8 +176,10 @@ def fuse(
         Double-check the schedule against the dependence oracle.
     cache:
         A :class:`repro.schedule.cache.ScheduleCache`; when ``None`` the
-        process-wide default (``set_default_cache``) is consulted. On a
-        pattern-fingerprint hit the scheduling stage is skipped entirely.
+        process-wide default (``set_default_cache``) is consulted. The
+        key, :func:`repro.schedule.fingerprint` of *kernels* and the
+        parameters, is computed before inspecting: a hit builds no DAG,
+        no ``F`` and no schedule.
     scheduler_kwargs:
         Forwarded to the scheduler (e.g. LBC's ``initial_cut``).
 
@@ -178,7 +188,9 @@ def fuse(
     FusedLoops
         Inspector outputs + schedule + executors. ``inspector_seconds``
         records the wall-clock inspection cost (DAGs, ``F``, scheduling),
-        the quantity on the y-axis of Fig. 7.
+        the quantity on the y-axis of Fig. 7; on a cache hit it covers
+        only the fingerprint hash and the lookup. ``meta["fingerprint"]``
+        is the cache key (what ``repro fuse --save`` stamps on files).
     """
     if len(kernels) < 2:
         raise ValueError("fuse() needs at least two loops")
@@ -191,16 +203,17 @@ def fuse(
         cache = get_default_cache()
     rec = current_recorder()
     cache_state = None
+    inspection = None
     with rec.span("inspector", scheduler=scheduler, loops=len(kernels)) as inspect_span:
-        dags, inter, measured_reuse = inspect_loops(kernels)
-        reuse = measured_reuse if reuse_ratio is None else float(reuse_ratio)
+        reuse = (
+            compute_reuse(*kernels[:2]) if reuse_ratio is None else float(reuse_ratio)
+        )
         rec.event("inspector.reuse_ratio", value=reuse)
-        sched = key = None
+        params = dict(scheduler=scheduler, r=int(n_threads), reuse=reuse)
+        key = fingerprint(kernels, params={**params, "kwargs": scheduler_kwargs})
+        sched = None
         if cache is not None:
             with rec.span("inspector.cache_lookup"):
-                key = schedule_key(
-                    dags, inter, scheduler, n_threads, reuse, scheduler_kwargs
-                )
                 sched = cache.get(key)
             cache_state = "miss" if sched is None else "hit"
             rec.count(
@@ -210,6 +223,7 @@ def fuse(
                 1,
             )
         if sched is None:
+            inspection = dags, inter = inspect_loops(kernels)[:2]
             if scheduler == "ico":
                 sched = ico_schedule(
                     dags, inter, n_threads, reuse, **scheduler_kwargs
@@ -225,13 +239,12 @@ def fuse(
     rec.count(names.INSPECTOR_SECONDS, inspector_seconds)
     fused = FusedLoops(
         kernels=list(kernels),
-        dags=dags,
-        inter=inter,
         reuse_ratio=reuse,
         schedule=sched,
         n_threads=n_threads,
         inspector_seconds=inspector_seconds,
-        meta={"scheduler": scheduler, "cache": cache_state},
+        meta={"scheduler": scheduler, "cache": cache_state, "fingerprint": key},
+        _inspection=inspection,
     )
     if validate:
         fused.validate()
@@ -318,7 +331,5 @@ def repack_schedule(
             f"unknown packing {packing!r}; expected 'interleaved' or 'separated'"
         )
     repacked = _repack(schedule, dags, inter, packing)
-    repacked.meta.update(
-        {k: v for k, v in schedule.meta.items() if k != "_execution_plans"}
-    )
+    repacked.meta.update(schedule.meta)
     return repacked

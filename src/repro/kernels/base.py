@@ -13,7 +13,8 @@ paper). It must expose everything the inspector and the runtime need:
   inter-kernel dependence builder in :mod:`repro.fusion.inspector` joins
   these across kernels, exactly like the paper's ``inter_DAG`` functions
   join statement accesses.
-* **structure** — the intra-kernel dependency DAG (:meth:`intra_dag`,
+* **structure** — the sparse operand whose pattern defines the loop
+  (:attr:`operand`), the intra-kernel dependency DAG (:meth:`intra_dag`,
   empty for parallel loops), the per-iteration cost ``c(v)`` (nonzeros
   touched), theoretical flops, and variable sizes for the reuse ratio.
 
@@ -73,9 +74,19 @@ class Kernel(abc.ABC):
     #: Consuming reads and exclusive writes must never be declared here.
     atomic_update_vars: dict[str, tuple[str, ...]] = {}
 
+    #: Attribute holding the sparse operand (see :attr:`operand`).
+    operand_attr = "a"
+
     # ------------------------------------------------------------------
     # Structure
     # ------------------------------------------------------------------
+    @property
+    def operand(self):
+        """The sparse matrix whose pattern (never values) fixes this
+        loop's DAG, access maps and costs; :func:`repro.schedule.fingerprint`
+        hashes it. ``self.a`` unless :attr:`operand_attr` says otherwise."""
+        return getattr(self, self.operand_attr)
+
     @property
     @abc.abstractmethod
     def n_iterations(self) -> int:

@@ -162,6 +162,7 @@ class DScalCSC(Kernel):
     """
 
     name = "DSCAL-CSC"
+    operand_attr = "low"
     supports_batch = True
     supports_level_batch = True
 

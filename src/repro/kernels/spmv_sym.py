@@ -39,6 +39,7 @@ class SpMVSymLower(Kernel):
     """
 
     name = "SpMV-sym-lower"
+    operand_attr = "low"
     needs_atomic = True
     supports_batch = True
 

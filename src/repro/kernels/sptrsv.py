@@ -43,6 +43,7 @@ class SpTRSVCSR(Kernel):
     """
 
     name = "SpTRSV-CSR"
+    operand_attr = "low"
     supports_level_batch = True
 
     def __init__(self, low: CSRMatrix, *, l_var="Lx", b_var="b", x_var="x"):
@@ -207,6 +208,7 @@ class SpTRSVCSC(Kernel):
     """
 
     name = "SpTRSV-CSC"
+    operand_attr = "low"
     needs_atomic = True
     supports_level_batch = True
 

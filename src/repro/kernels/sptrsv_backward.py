@@ -40,6 +40,7 @@ class SpTRSVBackwardCSR(Kernel):
     """
 
     name = "SpTRSV-backward-CSR"
+    operand_attr = "low"
     needs_atomic = True
     supports_level_batch = True
 

@@ -87,8 +87,8 @@ GS_CHUNKS = "gs.chunks"
 #: average; "1" marks dimensionless counts.
 REGISTRY: dict[str, tuple[str, str]] = {
     INSPECTOR_SECONDS: ("s", "wall-clock inspection cost (Fig. 7 numerator)"),
-    INSPECTOR_CACHE_HITS: ("1", "pattern-keyed schedule-cache hits"),
-    INSPECTOR_CACHE_MISSES: ("1", "pattern-keyed schedule-cache misses"),
+    INSPECTOR_CACHE_HITS: ("1", "schedule-cache hits: fuse() skipped inspection"),
+    INSPECTOR_CACHE_MISSES: ("1", "schedule-cache misses: fuse() inspected"),
     INSPECTOR_VERTICES: ("1", "iterations across all fused loops"),
     INSPECTOR_INTRA_EDGES: ("1", "intra-DAG dependence edges"),
     INSPECTOR_INTER_EDGES: ("1", "inter-kernel (F-matrix) edges"),
@@ -102,8 +102,8 @@ REGISTRY: dict[str, tuple[str, str]] = {
     LBC_SPARTITIONS: ("1", "s-partitions produced by LBC"),
     PLAN_COMPILE_SECONDS: ("s", "wall-clock spent compiling execution plans"),
     PLAN_LEVEL_STEPS: ("1", "level-batched steps in compiled plans"),
-    PLAN_CACHE_HITS: ("1", "memoized-plan hits on schedule.meta"),
-    PLAN_CACHE_MISSES: ("1", "plan compilations (cache misses)"),
+    PLAN_CACHE_HITS: ("1", "plan_for memo hits (content-keyed)"),
+    PLAN_CACHE_MISSES: ("1", "plan_for compilations (memo misses)"),
     EXECUTOR_ITERATIONS: ("1", "iterations executed (any executor)"),
     EXECUTOR_BATCHED_ITERATIONS: ("1", "iterations executed vectorized"),
     EXECUTOR_SCALAR_ITERATIONS: ("1", "iterations executed scalar"),

@@ -20,8 +20,8 @@ the paper fuses) as well as the parallel ones:
   scatters.
 * The plan is compiled once and reused: the solvers pass their own
   :func:`compile_plan` result as ``plan=`` to every Gauss-Seidel sweep
-  or preconditioner application, and other callers get it memoized on
-  ``schedule.meta`` (:func:`plan_for`). Counters ``plan.cache_hits`` /
+  or preconditioner application, and other callers get it from
+  :func:`plan_for`'s content-keyed memo. Counters ``plan.cache_hits`` /
   ``plan.cache_misses`` and the ``plan.compile_seconds`` counter under
   :mod:`repro.obs` make the amortization visible.
 
@@ -40,7 +40,8 @@ dependence rule, and s-partitions stay sequential.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -48,6 +49,7 @@ import numpy as np
 from ..kernels.base import Kernel, State
 from ..obs import current as current_recorder
 from ..obs import names
+from ..schedule.cache import fingerprint
 from ..schedule.schedule import FusedSchedule
 
 __all__ = [
@@ -58,13 +60,16 @@ __all__ = [
     "execute_schedule_planned",
 ]
 
-_PLAN_CACHE_KEY = "_execution_plans"
-
 #: Group/level size below which a step runs per iteration. Every
 #: vectorized dispatch pays a fixed cost of several microseconds (index
 #: conversion, ufunc dispatch) while a scalar iteration pays one Python
 #: call, so below about 4 iterations vectorizing loses.
 MIN_BATCH = 4
+
+#: Compiled plans :func:`plan_for` keeps, least recently used evicted.
+PLAN_CACHE_SIZE = 16
+
+_plans: OrderedDict[str, "ExecutionPlan"] = OrderedDict()
 
 
 @dataclass
@@ -98,13 +103,11 @@ class ExecutionPlan:
 
     loop_counts: tuple[int, ...]
     steps: list[PlanStep]
-    kernels: list[Kernel]
     n_level_steps: int = 0
     n_batch_steps: int = 0
     n_scalar_iterations: int = 0
     n_batched_iterations: int = 0
     compile_seconds: float = 0.0
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_steps(self) -> int:
@@ -205,7 +208,6 @@ def compile_plan(
     return ExecutionPlan(
         loop_counts=tuple(schedule.loop_counts),
         steps=steps,
-        kernels=list(kernels),
         n_level_steps=n_level,
         n_batch_steps=n_batch,
         n_scalar_iterations=n_scalar_iters,
@@ -215,26 +217,28 @@ def compile_plan(
 
 
 def plan_for(schedule: FusedSchedule, kernels: list[Kernel]) -> ExecutionPlan:
-    """Memoized :func:`compile_plan`: cached on ``schedule.meta``.
+    """Memoized :func:`compile_plan`, keyed by content.
 
-    The cache key is the identity of the kernel objects; the plan holds
-    strong references to its kernels, so an ``id()`` can never be
-    recycled while its cache entry is alive.
-    Counters ``plan.cache_hits`` / ``plan.cache_misses`` record the
-    amortization.
+    A plan holds only pattern-derived index arrays (``precompute_level``
+    reads ``indptr``/``indices``, never values), so the key is
+    :func:`repro.schedule.fingerprint` of *kernels* and *schedule*:
+    kernels rebuilt on new values of one pattern share a plan, and a
+    changed vertex order never reaches a plan compiled for the old one.
     """
-    cache = schedule.meta.setdefault(_PLAN_CACHE_KEY, {})
-    key = tuple(id(k) for k in kernels)
+    key = fingerprint(kernels, schedule)
     rec = current_recorder()
-    plan = cache.get(key)
+    # pop + reinsert marks it recently used; racing callers at worst compile twice
+    plan = _plans.pop(key, None)
     if plan is not None:
+        _plans[key] = plan
         if rec.enabled:
             rec.count(names.PLAN_CACHE_HITS)
         return plan
     if rec.enabled:
         rec.count(names.PLAN_CACHE_MISSES)
-    plan = compile_plan(schedule, kernels)
-    cache[key] = plan
+    plan = _plans[key] = compile_plan(schedule, kernels)
+    while len(_plans) > PLAN_CACHE_SIZE:
+        _plans.popitem(last=False)
     return plan
 
 
@@ -251,7 +255,7 @@ def execute_schedule_planned(
     Semantics match :func:`repro.runtime.executor.execute_schedule` up to
     floating-point association order inside reductions (tests pin the
     tolerance; most kernels are bitwise-identical). Pass a prebuilt
-    *plan* to bypass the ``schedule.meta`` cache entirely.
+    *plan* to bypass :func:`plan_for`'s memo entirely.
 
     With ``sanitize=True`` the dynamic dependence sanitizer
     (:func:`repro.obs.memtrace.sanitize_schedule`) checks every memory

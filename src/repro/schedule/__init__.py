@@ -13,7 +13,7 @@ from .cache import (
     KEY_SCHEMA,
     ScheduleCache,
     get_default_cache,
-    schedule_key,
+    fingerprint,
     set_default_cache,
 )
 from .dagp import dagp_partition, dagp_schedule
@@ -22,7 +22,6 @@ from .ico import ico_schedule
 from .serialize import (
     ScheduleFormatError,
     load_schedule,
-    pattern_fingerprint,
     save_schedule,
 )
 from .lbc import lbc_schedule
@@ -47,11 +46,10 @@ __all__ = [
     "hdagg_schedule",
     "ScheduleFormatError",
     "load_schedule",
-    "pattern_fingerprint",
     "save_schedule",
     "ScheduleCache",
     "KEY_SCHEMA",
-    "schedule_key",
+    "fingerprint",
     "get_default_cache",
     "set_default_cache",
 ]

@@ -1,29 +1,21 @@
-"""Pattern-keyed schedule cache: memoized LBC/ICO inspector results.
+"""One content fingerprint for everything derived from a sparsity pattern.
 
 The paper's reuse contract is that "the fused schedule can be reused as
-long as the sparsity patterns of A and L do not change". The schedulers
-are pure functions of (DAG patterns, inter-dependence patterns, vertex
-costs, scheduling parameters), so their results can be memoized on a
-content fingerprint of exactly those inputs: a warm hit skips LBC window
-growing and the whole ICO pipeline and costs one hash of the structure
-arrays. :func:`repro.fusion.fuse` consults the cache between the
-inspector's DAG construction and the scheduling stage.
+long as the sparsity patterns of A and L do not change". The fused
+schedule, the compiled plan (:func:`repro.runtime.plan.plan_for`) and a
+saved ``.npz`` schedule are pure functions of the kernels' patterns plus
+a few parameters, never of values, so :func:`fingerprint` — a hash of
+exactly that content, computed before any inspection — is the one key
+for all of them. A :class:`ScheduleCache` hit therefore lets
+:func:`repro.fusion.fuse` skip the whole inspector. Two tiers:
 
-Two tiers:
-
-* an in-memory LRU (:class:`ScheduleCache`), for repeated ``fuse`` calls
-  in one process — e.g. the unrolled Gauss-Seidel chunks, which fuse the
-  same pattern dozens of times per solve;
+* an in-memory LRU, for repeated ``fuse`` calls in one process — e.g. a
+  refit loop that rebuilds its kernels on new values of one pattern;
 * an optional on-disk store (``directory=``) reusing
   :mod:`repro.schedule.serialize`, so the inspection cost is paid once
-  *across* processes. The cache key doubles as the stored pattern
-  fingerprint, so a stale or corrupted file fails closed (treated as a
-  miss) instead of yielding a schedule for the wrong pattern.
-
-On-disk caching is safe exactly when the key inputs capture everything
-the scheduler reads: DAG ``indptr``/``indices``, InterDep rows, vertex
-weights, loop pairing, and every scheduler parameter. Anything else
-(matrix *values*, right-hand sides) never influences a schedule.
+  *across* processes. The key doubles as the stored fingerprint, so a
+  stale or corrupted file fails closed (treated as a miss) instead of
+  yielding a schedule for the wrong pattern.
 """
 
 from __future__ import annotations
@@ -35,57 +27,71 @@ from pathlib import Path
 
 import numpy as np
 
+from ..sparse.base import INDEX_DTYPE
 from .schedule import FusedSchedule
 from .serialize import (
     ScheduleFormatError,
+    flatten_schedule,
     load_schedule,
-    pattern_fingerprint,
     save_schedule,
 )
 
 __all__ = [
     "ScheduleCache",
-    "schedule_key",
+    "fingerprint",
     "get_default_cache",
     "set_default_cache",
     "KEY_SCHEMA",
 ]
 
 #: Version of the key derivation itself. Bump whenever the *semantics*
-#: behind a key change — what the schedulers read, how packing is
-#: decided, the serialized schedule layout — so every on-disk entry
-#: written under the old scheme fails closed to a cache miss instead of
-#: resurrecting a schedule built under different rules. (Schema 2:
-#: dynamic-sanitizer era; kernels declare commutative updates that the
-#: inspector's access maps now expose.)
-KEY_SCHEMA = 2
+#: behind a key change, so every on-disk entry written under the old
+#: scheme fails closed to a miss. (Schema 3: keys hash the kernels'
+#: patterns before inspection, not the DAGs and ``F`` built from them.)
+KEY_SCHEMA = 3
 
 
-def schedule_key(dags, inter, scheduler, r, reuse_ratio, params=None) -> str:
-    """Content fingerprint of one scheduling problem.
-
-    SHA-256 over the DAG and InterDep structure arrays (via
-    :func:`pattern_fingerprint`), the per-vertex weights (same pattern
-    with different costs partitions differently), the loop pairing, the
-    full parameter set ``(scheduler, r, reuse_ratio, params)``, and the
-    key-derivation version :data:`KEY_SCHEMA`.
-    Floats are hashed via ``repr`` — bit-exact, no rounding surprises.
+def fingerprint(kernels, schedule: FusedSchedule | None = None, params=None) -> str:
+    """SHA-256 over content only: per kernel its class, read/write
+    variable names and sizes and its sparse operand's
+    (:attr:`~repro.kernels.base.Kernel.operand`) shape, ``indptr`` and
+    ``indices`` (memoized on the kernel); *schedule*'s loop counts,
+    packing, s/w offsets and vertices; *params* as JSON (non-JSON leaves
+    by ``repr``); and :data:`KEY_SCHEMA`. Values and object identities
+    never enter it.
     """
-    h = hashlib.sha256()
-    ops = list(dags) + [inter[k] for k in sorted(inter)]
-    h.update(pattern_fingerprint(*ops).encode())
-    for d in dags:
-        h.update(np.ascontiguousarray(d.weights, dtype=np.float64).tobytes())
     spec = {
         "schema": KEY_SCHEMA,
-        "loops": [int(d.n) for d in dags],
-        "pairs": sorted(inter),
-        "scheduler": str(scheduler),
-        "r": int(r),
-        "reuse": repr(float(reuse_ratio)),
-        "params": {k: repr(v) for k, v in sorted((params or {}).items())},
+        "kernels": [_kernel_digest(k) for k in kernels],
+        "params": params or {},
     }
-    h.update(json.dumps(spec, sort_keys=True).encode())
+    if schedule is None:
+        return _digest(spec)
+    spec["schedule"] = [list(schedule.loop_counts), schedule.packing]
+    return _digest(spec, *flatten_schedule(schedule))
+
+
+def _kernel_digest(kernel) -> str:
+    digest = kernel.__dict__.get("_fingerprint")
+    if digest is None:
+        op, cls = kernel.operand, type(kernel)
+        spec = {
+            "class": f"{cls.__module__}.{cls.__qualname__}",
+            "vars": [kernel.read_vars, kernel.write_vars],
+            "sizes": sorted(kernel.var_sizes().items()),
+            "operand": [type(op).__name__, op.n_rows, op.n_cols],
+        }
+        digest = _digest(spec, op.indptr, op.indices)
+        kernel.__dict__["_fingerprint"] = digest
+    return digest
+
+
+def _digest(spec, *arrays) -> str:
+    h = hashlib.sha256(json.dumps(spec, sort_keys=True, default=repr).encode())
+    for arr in arrays:
+        arr = np.ascontiguousarray(arr, dtype=INDEX_DTYPE)
+        h.update(arr.shape[0].to_bytes(8, "little"))
+        h.update(arr.tobytes())
     return h.hexdigest()
 
 
@@ -93,8 +99,8 @@ class ScheduleCache:
     """LRU schedule memo with an optional on-disk tier.
 
     ``get``/``put`` always copy (:meth:`FusedSchedule.copy`): callers
-    mutate schedule ``meta`` (compiled execution plans, scheduler tags),
-    and a cached entry must stay pristine.
+    may mutate a schedule (its ``meta`` tags, its vertex arrays), and a
+    cached entry must stay pristine.
     """
 
     def __init__(self, maxsize: int = 64, directory=None):

@@ -133,20 +133,13 @@ class FusedSchedule:
                 yield s, w, verts
 
     def copy(self) -> "FusedSchedule":
-        """Deep copy (vertex arrays copied).
-
-        Compiled execution plans (:mod:`repro.runtime.plan`) memoized in
-        ``meta`` are *not* carried over: a copy exists to be modified,
-        and a stale plan compiled against the original vertex order
-        would silently execute the wrong schedule.
-        """
-        meta = {k: v for k, v in self.meta.items() if k != "_execution_plans"}
+        """Deep copy (vertex arrays and ``meta`` dict copied)."""
         return FusedSchedule(
             self.loop_counts,
             [[v.copy() for v in wlist] for wlist in self.s_partitions],
             packing=self.packing,
             fusion=self.fusion,
-            meta=meta,
+            meta=dict(self.meta),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

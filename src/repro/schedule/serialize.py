@@ -5,15 +5,17 @@ be reused as long as the sparsity patterns of A and L do not change" —
 iterative solvers pay inspection once and reuse the schedule for the
 whole solve, and across solves with the same pattern. This module makes
 that reuse durable: schedules serialize to a single ``.npz`` file, and a
-*pattern fingerprint* (a SHA-256 over the operand's structure arrays)
-recorded at save time is verified at load time, so a stale schedule is
-rejected instead of silently producing a wrong execution order.
+fingerprint recorded at save time (:func:`repro.schedule.fingerprint`,
+the key the schedule cache uses) is verified at load time, so a stale
+schedule is rejected instead of silently producing a wrong execution
+order. An unreadable file raises :class:`ScheduleFormatError` too.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,6 @@ from ..sparse.base import INDEX_DTYPE
 from .schedule import FusedSchedule
 
 __all__ = [
-    "pattern_fingerprint",
     "save_schedule",
     "load_schedule",
     "ScheduleFormatError",
@@ -35,28 +36,16 @@ class ScheduleFormatError(RuntimeError):
     """Raised for malformed files or fingerprint mismatches."""
 
 
-def pattern_fingerprint(*operands) -> str:
-    """SHA-256 over the structure (not values) of sparse operands.
-
-    Accepts any objects exposing ``indptr``/``indices`` arrays
-    (:class:`CSRMatrix`, :class:`CSCMatrix`, :class:`DAG`, ...) or
-    ``row_indptr``/``row_indices`` (:class:`InterDep`); the digest
-    changes iff any pattern changes — exactly the schedule-reuse
-    condition.
-    """
-    h = hashlib.sha256()
-    for op in operands:
-        attrs = (
-            ("indptr", "indices")
-            if hasattr(op, "indptr")
-            else ("row_indptr", "row_indices")
-        )
-        for attr in attrs:
-            arr = np.ascontiguousarray(getattr(op, attr), dtype=INDEX_DTYPE)
-            h.update(attr.encode())
-            h.update(arr.shape[0].to_bytes(8, "little"))
-            h.update(arr.tobytes())
-    return h.hexdigest()
+def flatten_schedule(schedule: FusedSchedule) -> tuple[np.ndarray, ...]:
+    """``(vertices, w_offsets, s_offsets)``: every w-partition's vertices
+    in one array plus two offset tables (w-partition boundaries, and
+    s-partition boundaries over w-partitions)."""
+    parts = [w for wlist in schedule.s_partitions for w in wlist]
+    vertices = np.concatenate(parts + [np.empty(0, INDEX_DTYPE)], dtype=INDEX_DTYPE)
+    sizes = np.fromiter(map(len, parts), dtype=INDEX_DTYPE, count=len(parts))
+    w_offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(INDEX_DTYPE)
+    s_offsets = np.cumsum([0] + schedule.widths()).astype(INDEX_DTYPE)
+    return vertices, w_offsets, s_offsets
 
 
 def save_schedule(
@@ -64,20 +53,11 @@ def save_schedule(
 ) -> Path:
     """Serialize *schedule* to ``path`` (``.npz``).
 
-    The flattened representation stores every w-partition's vertices in
-    one array plus two offset tables (w-partition boundaries and
-    s-partition boundaries over w-partitions) — loading is O(nnz) with
-    no Python-loop parsing.
+    The :func:`flatten_schedule` representation is stored, so loading
+    is O(nnz) with no Python-loop parsing.
     """
     path = Path(path)
-    verts = []
-    w_offsets = [0]
-    s_offsets = [0]
-    for wlist in schedule.s_partitions:
-        for w in wlist:
-            verts.append(np.asarray(w, dtype=INDEX_DTYPE))
-            w_offsets.append(w_offsets[-1] + w.shape[0])
-        s_offsets.append(s_offsets[-1] + len(wlist))
+    vertices, w_offsets, s_offsets = flatten_schedule(schedule)
     meta = {
         "format_version": _FORMAT_VERSION,
         "packing": schedule.packing,
@@ -87,11 +67,9 @@ def save_schedule(
     }
     np.savez_compressed(
         path,
-        vertices=(
-            np.concatenate(verts) if verts else np.empty(0, dtype=INDEX_DTYPE)
-        ),
-        w_offsets=np.asarray(w_offsets, dtype=INDEX_DTYPE),
-        s_offsets=np.asarray(s_offsets, dtype=INDEX_DTYPE),
+        vertices=vertices,
+        w_offsets=w_offsets,
+        s_offsets=s_offsets,
         loop_counts=np.asarray(schedule.loop_counts, dtype=INDEX_DTYPE),
         meta_json=np.frombuffer(
             json.dumps(meta).encode("utf-8"), dtype=np.uint8
@@ -104,19 +82,23 @@ def load_schedule(path, *, expect_fingerprint: str | None = None) -> FusedSchedu
     """Load a schedule saved by :func:`save_schedule`.
 
     When *expect_fingerprint* is given (compute it from the current
-    operands with :func:`pattern_fingerprint`), a mismatch against the
-    stored fingerprint raises :class:`ScheduleFormatError` — the operand
-    pattern changed and the schedule must be re-inspected.
+    kernels with :func:`repro.schedule.fingerprint`), a mismatch against
+    the stored fingerprint raises :class:`ScheduleFormatError` — the
+    operand pattern changed and the schedule must be re-inspected. So
+    does a file that is not a readable schedule archive (garbage,
+    truncated, empty); a missing file raises ``FileNotFoundError``.
     """
-    with np.load(path) as data:
-        try:
+    try:
+        with np.load(path) as data:
             meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
             vertices = data["vertices"]
             w_offsets = data["w_offsets"]
             s_offsets = data["s_offsets"]
             loop_counts = tuple(int(x) for x in data["loop_counts"])
-        except KeyError as exc:
-            raise ScheduleFormatError(f"missing field in {path}: {exc}") from exc
+    except KeyError as exc:
+        raise ScheduleFormatError(f"missing field in {path}: {exc}") from exc
+    except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+        raise ScheduleFormatError(f"unreadable schedule file {path}: {exc}") from exc
     if meta.get("format_version") != _FORMAT_VERSION:
         raise ScheduleFormatError(
             f"unsupported schedule format {meta.get('format_version')!r}"
@@ -128,22 +110,15 @@ def load_schedule(path, *, expect_fingerprint: str | None = None) -> FusedSchedu
             f"(stored {str(stored)[:12]}..., current "
             f"{expect_fingerprint[:12]}...); re-run the inspector"
         )
-    s_partitions: list[list[np.ndarray]] = []
-    for s in range(s_offsets.shape[0] - 1):
-        wlist = []
-        for w in range(int(s_offsets[s]), int(s_offsets[s + 1])):
-            wlist.append(vertices[int(w_offsets[w]) : int(w_offsets[w + 1])].copy())
-        s_partitions.append(wlist)
-    sched = FusedSchedule(
+    parts = np.split(vertices, w_offsets[1:-1])
+    s_partitions = [parts[a:b] for a, b in zip(s_offsets[:-1], s_offsets[1:])]
+    return FusedSchedule(
         loop_counts,
         s_partitions,
         packing=meta.get("packing", "none"),
         fusion=meta.get("fusion", True),
         meta=dict(meta.get("meta", {})),
     )
-    if stored is not None:
-        sched.meta["fingerprint"] = stored
-    return sched
 
 
 def _jsonable(value) -> bool:

@@ -32,6 +32,7 @@ from ..runtime.machine import MachineConfig, SimulatedMachine
 from ..baselines.unfused import parsy_schedule
 from ..schedule.schedule import FusedSchedule
 from ..sparse.csr import CSRMatrix
+from ..utils.arrays import require_finite
 
 __all__ = [
     "GSResult",
@@ -126,13 +127,15 @@ def gauss_seidel(
     :mod:`repro.runtime.plan`) or ``"iter"`` (per-iteration oracle).
     Convergence stops at relative residual *tol* or *max_iters* GS
     iterations; ``simulated_solve_seconds`` prices the executed chunks
-    on the machine model.
+    on the machine model. Non-finite values in ``A``, ``b`` or ``x0``
+    raise ``ValueError`` before any work.
     """
     if executor not in ("iter", "plan"):
         raise ValueError(f"unknown executor {executor!r}")
     if not a.is_square:
         raise ValueError("Gauss-Seidel requires a square matrix")
     b = np.asarray(b, dtype=np.float64)
+    require_finite(A=a.data, b=b, x0=x0)
     kernels, x_in, x_out = build_gs_chain(a, unroll)
     low, e = gs_split(a)
     cfg = machine or MachineConfig(n_threads=n_threads)
@@ -166,8 +169,8 @@ def gauss_seidel(
     converged = False
     chunks = 0
     with rec.span("gs.solve", method=method, unroll=unroll, executor=executor):
-        # A local plan, not the schedule.meta memo: the returned schedule
-        # must not pin the plan and its kernels.
+        # A local plan, not the plan_for memo: a finished solve must not
+        # keep its plan alive in the process-wide LRU.
         plan = compile_plan(sched, kernels) if executor == "plan" else None
         while iterations < max_iters:
             if plan is not None:

@@ -28,6 +28,7 @@ from ..runtime.machine import MachineConfig, SimulatedMachine
 from ..runtime.plan import compile_plan, execute_schedule_planned
 from ..sparse.csr import CSRMatrix
 from ..sparse.factor import ic0_csc
+from ..utils.arrays import require_finite
 
 __all__ = ["PCGResult", "pcg_ic0", "build_ic0_preconditioner"]
 
@@ -79,11 +80,13 @@ def pcg_ic0(
     The preconditioner application is the fused TRSV-TRSV pair; its
     simulated per-application cost times the number of applications is
     reported as ``simulated_precond_seconds`` (the quantity fusion
-    improves).
+    improves). Non-finite values in ``A``, ``b`` or ``x0`` raise
+    ``ValueError`` before any work.
     """
     if not a.is_square:
         raise ValueError("PCG requires a square (SPD) matrix")
     b = np.asarray(b, dtype=np.float64)
+    require_finite(A=a.data, b=b, x0=x0)
     with current_recorder().span("pcg.setup", scheduler=scheduler) as setup_span:
         fused, state = build_ic0_preconditioner(a, n_threads, scheduler=scheduler)
     setup_seconds = setup_span.seconds

@@ -12,7 +12,21 @@ __all__ = [
     "segment_boundaries",
     "segment_sums_at",
     "stack_distances",
+    "require_finite",
 ]
+
+
+def require_finite(**arrays: np.ndarray | None) -> None:
+    """Raise ``ValueError`` naming the first input holding a NaN or inf
+    (``None`` inputs are skipped).
+
+    The solvers check their outside inputs with it: a single non-finite
+    value otherwise spreads through every iteration and surfaces only as
+    a non-converged, non-finite result.
+    """
+    for name, arr in arrays.items():
+        if arr is not None and not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} contains NaN or inf")
 
 
 def multi_range(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

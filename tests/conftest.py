@@ -86,3 +86,18 @@ def _enforce_cycle_conservation(monkeypatch):
         return report
 
     monkeypatch.setattr(SimulatedMachine, "simulate", checked)
+
+
+@pytest.fixture(autouse=True)
+def _fresh_plan_memo(monkeypatch):
+    """Give every test an empty :func:`repro.runtime.plan.plan_for` memo.
+
+    The memo is process-wide and content-keyed, so without this a test
+    that monkeypatches ``MIN_BATCH`` (or counts plan-cache misses) could
+    be served a plan an earlier test compiled for the same pattern.
+    """
+    from collections import OrderedDict
+
+    from repro.runtime import plan
+
+    monkeypatch.setattr(plan, "_plans", OrderedDict())

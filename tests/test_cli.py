@@ -40,14 +40,19 @@ class TestCommands:
         assert p.exists()
         out = capsys.readouterr().out
         assert "reuse ratio" in out and "s-partitions" in out
-        # saved schedule loads and verifies against the right fingerprint
-        from repro.fusion import build_combination
-        from repro.schedule import load_schedule, pattern_fingerprint
+        # the saved schedule carries the schedule cache's key for the same
+        # fuse: it loads against that key, and a disk cache stores it there
+        from repro.fusion import build_combination, fuse
+        from repro.schedule import ScheduleCache, load_schedule
         from repro.sparse import apply_ordering
 
         a, _ = apply_ordering(parse_matrix_spec("lap2d:8"), "nd")
         kernels, _ = build_combination(1, a)
-        fp = pattern_fingerprint(*(k.intra_dag() for k in kernels))
+        cache_dir = tmp_path / "cache"
+        fp = fuse(kernels, 8, cache=ScheduleCache(directory=cache_dir)).meta[
+            "fingerprint"
+        ]
+        assert (cache_dir / f"sched-{fp}.npz").exists()
         load_schedule(p, expect_fingerprint=fp)
 
     def test_compare(self, capsys):

@@ -149,7 +149,9 @@ class TestBatchedExecutor:
             execute_schedule_planned(fl.schedule, kernels, st2, plan=plan)
             st2[xi][:] = st2[xo]
         assert np.allclose(st1[xo], st2[xo], atol=1e-13)
-        assert "_execution_plans" not in fl.schedule.meta
+        from repro.runtime import plan as plan_mod
+
+        assert not plan_mod._plans  # plan= bypassed the plan_for memo
 
     def test_min_batch_respected(self, lap2d_nd, monkeypatch):
         """No batched step is shorter than ``MIN_BATCH``; raising it past

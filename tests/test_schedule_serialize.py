@@ -1,4 +1,4 @@
-"""Schedule persistence tests (save/load + pattern fingerprints)."""
+"""Schedule persistence tests (save/load + content fingerprints)."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,8 @@ from repro import fuse
 from repro.fusion import build_combination
 from repro.schedule import (
     ScheduleFormatError,
+    fingerprint,
     load_schedule,
-    pattern_fingerprint,
     save_schedule,
     validate_schedule,
 )
@@ -53,14 +53,14 @@ def test_meta_preserved(tmp_path, fused):
 def test_fingerprint_accept_and_reject(tmp_path, lap2d_nd, band_small):
     kernels, _ = build_combination(1, lap2d_nd)
     fl = fuse(kernels, 4)
-    fp = pattern_fingerprint(lap2d_nd.lower_triangle())
+    fp = fl.meta["fingerprint"]
     p = tmp_path / "sched.npz"
     save_schedule(p, fl.schedule, fingerprint=fp)
     # same pattern -> accepted
     back = load_schedule(p, expect_fingerprint=fp)
     assert schedules_equal(fl.schedule, back)
     # different pattern -> rejected
-    other = pattern_fingerprint(band_small.lower_triangle())
+    other = fuse(build_combination(1, band_small)[0], 4).meta["fingerprint"]
     with pytest.raises(ScheduleFormatError, match="pattern changed"):
         load_schedule(p, expect_fingerprint=other)
 
@@ -69,20 +69,24 @@ def test_fingerprint_ignores_values(lap2d_nd):
     a = lap2d_nd
     b = a.copy()
     b.data[:] *= 2.0
-    assert pattern_fingerprint(a) == pattern_fingerprint(b)
+    ka, _ = build_combination(1, a)
+    kb, _ = build_combination(1, b, seed=5)
+    assert fingerprint(ka) == fingerprint(kb)
 
 
 def test_fingerprint_sensitive_to_structure(lap2d_nd, band_small):
-    assert pattern_fingerprint(lap2d_nd) != pattern_fingerprint(band_small)
+    ka, _ = build_combination(1, lap2d_nd)
+    kb, _ = build_combination(1, band_small)
+    assert fingerprint(ka) != fingerprint(kb)
 
 
-def test_fingerprint_accepts_dags(lap2d_nd):
-    from repro.graph import DAG
-
-    g = DAG.from_lower_triangular(lap2d_nd.lower_triangle())
-    fp1 = pattern_fingerprint(g)
-    fp2 = pattern_fingerprint(DAG.from_lower_triangular(lap2d_nd.lower_triangle()))
-    assert fp1 == fp2
+def test_fingerprint_stable_across_rebuilt_kernels(lap2d_nd):
+    """Equal patterns hash equal whatever object holds them: kernels
+    built twice from separate copies of one matrix share a key."""
+    k1, _ = build_combination(3, lap2d_nd)
+    k2, _ = build_combination(3, lap2d_nd.copy())
+    assert k1[0].operand is not k2[0].operand
+    assert fingerprint(k1) == fingerprint(k2)
 
 
 def test_empty_schedule_roundtrip(tmp_path):
@@ -100,6 +104,22 @@ def test_corrupt_file_rejected(tmp_path):
     p = tmp_path / "bad.npz"
     np.savez(p, nonsense=np.arange(3))
     with pytest.raises((ScheduleFormatError, KeyError)):
+        load_schedule(p)
+
+
+@pytest.mark.parametrize("corruption", ["garbage", "truncated", "empty"])
+def test_unreadable_file_raises_format_error(tmp_path, fused, corruption):
+    """Garbage bytes, a truncated archive and an empty file all raise
+    ScheduleFormatError — the error the schedule cache treats as a miss."""
+    fl, _ = fused
+    p = save_schedule(tmp_path / "sched.npz", fl.schedule)
+    raw = p.read_bytes()
+    p.write_bytes(
+        {"garbage": b"\x93not a schedule" * 40, "truncated": raw[:200], "empty": b""}[
+            corruption
+        ]
+    )
+    with pytest.raises(ScheduleFormatError, match="unreadable"):
         load_schedule(p)
 
 

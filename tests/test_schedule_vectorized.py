@@ -27,7 +27,7 @@ from repro.schedule import (
     ScheduleCache,
     ico_schedule,
     lbc_schedule,
-    schedule_key,
+    fingerprint,
     set_default_cache,
     validate_schedule,
 )
@@ -221,37 +221,38 @@ class TestScheduleCache:
         f2.validate()
 
     def test_key_sensitivity(self):
-        kernels = self._problem()
-        from repro.fusion.fused import inspect_loops
+        def key(kernels, r=4, **kwargs):
+            return fuse(kernels, r, validate=False, **kwargs).meta["fingerprint"]
 
-        dags, inter, reuse = inspect_loops(kernels)
-        base = schedule_key(dags, inter, "ico", 4, reuse, {})
-        assert schedule_key(dags, inter, "ico", 8, reuse, {}) != base
-        assert schedule_key(dags, inter, "joint-lbc", 4, reuse, {}) != base
-        assert (
-            schedule_key(dags, inter, "ico", 4, reuse, {"initial_cut": 2})
-            != base
-        )
-        other, oi, _ = inspect_loops(self._problem(seed=4))
-        assert schedule_key(other, oi, "ico", 4, reuse, {}) != base
-        # weights matter even with the same pattern
-        heavier = [
-            DAG(d.n, d.indptr, d.indices, d.weights * 2.0, check=False)
-            for d in dags
-        ]
-        assert schedule_key(heavier, inter, "ico", 4, reuse, {}) != base
+        kernels = self._problem()
+        base = key(kernels)
+        assert key(self._problem()) == base  # content, not identity
+        assert key(kernels, 8) != base
+        assert key(kernels, scheduler="joint-lbc") != base
+        assert key(kernels, initial_cut=2) != base
+        assert key(self._problem(seed=4)) != base
+        # the pattern itself matters (vertex weights derive from it): one
+        # moved column index changes the key
+        from repro.kernels import SpMVCSR, SpTRSVCSR
+        from repro.sparse import CSRMatrix
+
+        a = kernels[0].low
+        first = a.indices[a.indptr[:-1]]
+        row = int(np.nonzero((np.diff(a.indptr) >= 2) & (first >= 1))[0][0])
+        indices = a.indices.copy()
+        indices[a.indptr[row]] -= 1
+        moved = CSRMatrix(a.n_rows, a.n_cols, a.indptr, indices, a.data)
+        assert key([SpTRSVCSR(moved), SpMVCSR(moved, x_var="x", y_var="z")]) != base
 
     def test_key_schema_versions_the_key(self, monkeypatch):
         kernels = self._problem()
-        from repro.fusion.fused import inspect_loops
         from repro.schedule import cache as cache_mod
 
-        dags, inter, reuse = inspect_loops(kernels)
-        base = schedule_key(dags, inter, "ico", 4, reuse, {})
+        base = fingerprint(kernels)
         monkeypatch.setattr(
             cache_mod, "KEY_SCHEMA", cache_mod.KEY_SCHEMA + 1
         )
-        assert schedule_key(dags, inter, "ico", 4, reuse, {}) != base
+        assert fingerprint(kernels) != base
 
     def test_old_schema_disk_entries_fail_closed(self, tmp_path, monkeypatch):
         # an entry persisted under the previous key derivation must
@@ -286,6 +287,27 @@ class TestScheduleCache:
             p.rename(other)
         f3 = fuse(kernels, 4, cache=stale)
         assert f3.meta["cache"] == "miss"
+
+    @pytest.mark.parametrize("corruption", ["garbage", "truncated", "empty"])
+    def test_corrupted_disk_entry_fails_closed(self, tmp_path, corruption):
+        """The disk tier's docstring promise: a corrupted file is a miss,
+        the schedule is rebuilt and the entry rewritten."""
+        kernels = self._problem()
+        fuse(kernels, 4, cache=ScheduleCache(directory=tmp_path))
+        (entry,) = tmp_path.glob("sched-*.npz")
+        raw = entry.read_bytes()
+        entry.write_bytes(
+            {"garbage": b"\x93not a schedule" * 40, "truncated": raw[:200], "empty": b""}[
+                corruption
+            ]
+        )
+        cache = ScheduleCache(directory=tmp_path)
+        f = fuse(kernels, 4, cache=cache)
+        assert f.meta["cache"] == "miss" and cache.stats["misses"] == 1
+        f.validate()
+        again = ScheduleCache(directory=tmp_path)
+        assert fuse(kernels, 4, cache=again).meta["cache"] == "hit"
+        assert again.disk_hits == 1
 
     def test_lru_eviction(self):
         cache = ScheduleCache(maxsize=1)

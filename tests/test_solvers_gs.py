@@ -94,11 +94,13 @@ def test_gs_rejects_rectangular():
 
 
 def test_gs_result_does_not_pin_plan(lap2d_nd, rng):
-    """The returned schedule carries no memoized plan: a kept result
-    must not keep the compiled plan and its kernels alive."""
+    """The solver compiles a local plan: a kept result must not keep the
+    compiled plan alive in the process-wide plan_for memo."""
+    from repro.runtime import plan as plan_mod
+
     res = gauss_seidel(lap2d_nd, rng.random(lap2d_nd.n_rows), executor="plan")
     assert res.converged
-    assert "_execution_plans" not in res.schedule.meta
+    assert not plan_mod._plans
 
 
 @pytest.mark.parametrize(
@@ -112,3 +114,23 @@ def test_gs_plan_keeps_iterations_and_matches_iter(matrix, iterations, request):
     assert res.converged and ref.converged
     assert res.iterations == ref.iterations == iterations
     assert np.allclose(res.x, ref.x, atol=1e-12)
+
+
+def _poisoned(lap2d_small, where):
+    """lap2d 8² with one NaN in ``b`` or one inf in ``A.data``."""
+    a = lap2d_small.copy()
+    b = np.ones(a.n_rows)
+    if where == "b":
+        b[5] = np.nan
+    else:
+        a.data[3] = np.inf
+    return a, b
+
+
+@pytest.mark.parametrize("where, name", [("b", "b"), ("A", "A")])
+def test_gs_rejects_non_finite_inputs(lap2d_small, where, name):
+    """A NaN/inf input is rejected up front, naming the input, instead of
+    running to the iteration cap and returning a non-finite ``x``."""
+    a, b = _poisoned(lap2d_small, where)
+    with pytest.raises(ValueError, match=f"^{name} contains NaN or inf"):
+        gauss_seidel(a, b)

@@ -114,3 +114,23 @@ def test_pcg_plan_keeps_iterations_and_matches_iter(
     assert res.converged and ref.converged
     assert res.iterations == ref.iterations == iterations
     assert np.allclose(res.x, ref.x, atol=1e-12)
+
+
+def _poisoned(lap2d_small, where):
+    """lap2d 8² with one NaN in ``b`` or one inf in ``A.data``."""
+    a = lap2d_small.copy()
+    b = np.ones(a.n_rows)
+    if where == "b":
+        b[5] = np.nan
+    else:
+        a.data[3] = np.inf
+    return a, b
+
+
+@pytest.mark.parametrize("where, name", [("b", "b"), ("A", "A")])
+def test_pcg_rejects_non_finite_inputs(lap2d_small, where, name):
+    """A NaN/inf input is rejected up front, naming the input, instead of
+    running to the iteration cap and returning a non-finite ``x``."""
+    a, b = _poisoned(lap2d_small, where)
+    with pytest.raises(ValueError, match=f"^{name} contains NaN or inf"):
+        pcg_ic0(a, b)
