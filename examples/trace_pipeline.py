@@ -1,8 +1,8 @@
 """Trace the full pipeline for TRSV -> SpMV (Table 1 combination 3).
 
 Records the inspector + ICO run with a :class:`repro.obs.Recorder`,
-executes the fused schedule on real threads (worker spans land on their
-own trace rows), then writes:
+executes the fused schedule through its compiled plan (plan compile and
+the run land as spans next to the inspector's), then writes:
 
 * ``trace_pipeline.json``  — unified Perfetto trace: live inspector/ICO
   spans plus the simulated executor timeline. Open it at
@@ -17,7 +17,7 @@ import numpy as np
 from repro import MachineConfig, fuse
 from repro.kernels import SpMVCSC, SpTRSVCSR
 from repro.obs import export_jsonl, export_perfetto, format_summary, recording
-from repro.runtime import ThreadedExecutor
+from repro.runtime import execute_schedule_planned
 from repro.sparse import apply_ordering, laplacian_3d
 
 N_THREADS = 8
@@ -29,14 +29,14 @@ def main() -> None:
     k_trsv = SpTRSVCSR(low, l_var="Lx", b_var="x0", x_var="y")
     k_spmv = SpMVCSC(a.to_csc(), a_var="Ax", x_var="y", y_var="z")
 
-    # -- record inspector + ICO + a threaded execution -------------------
+    # -- record inspector + ICO + a planned execution --------------------
     with recording() as rec:
         fused = fuse([k_trsv, k_spmv], N_THREADS)
         state = fused.allocate_state()
         state["Lx"][:] = low.data
         state["Ax"][:] = a.to_csc().data
         state["x0"][:] = np.random.default_rng(0).random(a.n_rows)
-        ThreadedExecutor(N_THREADS).execute(fused.schedule, fused.kernels, state)
+        execute_schedule_planned(fused.schedule, fused.kernels, state)
 
     # -- console: where did the time go? ----------------------------------
     print(format_summary(rec, title=f"TRSV->SpMV pipeline, n={a.n_rows}"))

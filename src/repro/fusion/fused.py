@@ -22,7 +22,6 @@ from ..obs import current as current_recorder
 from ..obs import names
 from ..runtime.executor import allocate_state, execute_schedule, run_reference
 from ..runtime.machine import MachineConfig, MachineReport, SimulatedMachine
-from ..runtime.threaded import ThreadedExecutor
 from ..schedule.cache import ScheduleCache, fingerprint, get_default_cache
 from ..schedule.dagp import dagp_schedule
 from ..schedule.hdagg import hdagg_schedule
@@ -74,11 +73,6 @@ class FusedLoops:
     def execute(self, state: State) -> State:
         """Run the fused code sequentially-faithfully (numerics oracle)."""
         return execute_schedule(self.schedule, self.kernels, state)
-
-    def execute_threaded(self, state: State, n_threads: int | None = None) -> State:
-        """Run the fused code on real threads (GIL-bound; correctness demo)."""
-        executor = ThreadedExecutor(n_threads or self.n_threads)
-        return executor.execute(self.schedule, self.kernels, state)
 
     def reference(self, state: State) -> State:
         """Run the unfused sequential reference of all loops."""

@@ -60,11 +60,6 @@ class Kernel(abc.ABC):
     #: Human-readable kernel name, e.g. ``"SpTRSV-CSR"``.
     name: str = "kernel"
 
-    #: True for scatter kernels whose accumulations need atomicity when
-    #: concurrent w-partitions overlap on an element (the paper's
-    #: ``Atomic`` annotation); the threaded executor serializes these.
-    needs_atomic: bool = False
-
     #: Per-variable commutative-update declaration: variable name ->
     #: access kinds (``"read"``/``"write"``) that form a commutative
     #: read-modify-write accumulation (``y[rows] += ...`` under the
@@ -123,26 +118,15 @@ class Kernel(abc.ABC):
         where possible); includes the effect of :meth:`setup`."""
 
     def make_scratch(self) -> Any:
-        """Allocate per-executor scratch (per-thread in threaded runs)."""
+        """Allocate per-execution scratch."""
         return None
-
-    #: True when :meth:`run_batch` can execute any iteration set at once
-    #: (requires an empty intra-DAG — no loop-carried dependence).
-    supports_batch: bool = False
-
-    def run_batch(self, iters: np.ndarray, state: State, scratch: Any = None) -> None:
-        """Execute the independent iterations *iters* in one vectorized
-        call. Only valid when :attr:`supports_batch`; the default falls
-        back to per-iteration execution."""
-        for i in np.asarray(iters).tolist():
-            self.run_iteration(i, state, scratch)
 
     #: True when :meth:`run_level_batch` can execute a set of *mutually
     #: independent* iterations (one intra-DAG level, or any independent
-    #: set) in one vectorized call. Unlike :attr:`supports_batch` this
-    #: does NOT require an empty intra-DAG — it is how kernels with
-    #: loop-carried dependences join the compiled-plan fast path
-    #: (:mod:`repro.runtime.plan`).
+    #: set) in one vectorized call — the one vectorized entry point, for
+    #: dependence-free loops (whose only level is the whole loop) and
+    #: loops with loop-carried dependences alike. The compiled-plan fast
+    #: path (:mod:`repro.runtime.plan`) dispatches it.
     supports_level_batch: bool = False
 
     def precompute_level(self, iters: np.ndarray) -> Any:

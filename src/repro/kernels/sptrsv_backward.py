@@ -41,7 +41,6 @@ class SpTRSVBackwardCSR(Kernel):
 
     name = "SpTRSV-backward-CSR"
     operand_attr = "low"
-    needs_atomic = True
     supports_level_batch = True
 
     def __init__(self, low: CSRMatrix, *, l_var="Lx", b_var="b", x_var="x"):

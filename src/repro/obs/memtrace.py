@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..kernels.base import Kernel
-from ..schedule.schedule import FusedSchedule, ScheduleError
+from ..schedule.schedule import FusedSchedule, ScheduleError, check_loop_counts
 from ..sparse.base import INDEX_DTYPE
 from ..utils.arrays import multi_range
 from . import names
@@ -437,16 +437,7 @@ def sanitize_schedule(
     :class:`DependenceViolationError`. Reported violations are capped at
     *max_violations* (the count is exact either way).
     """
-    if len(kernels) != len(schedule.loop_counts):
-        raise ValueError(
-            f"{len(kernels)} kernels for {len(schedule.loop_counts)} loops"
-        )
-    for k, kern in enumerate(kernels):
-        if kern.n_iterations != schedule.loop_counts[k]:
-            raise ValueError(
-                f"loop {k}: kernel has {kern.n_iterations} iterations, "
-                f"schedule expects {schedule.loop_counts[k]}"
-            )
+    check_loop_counts(kernels, schedule.loop_counts)
     t0 = time.perf_counter()
     rec = current_recorder()
     with rec.span(

@@ -101,13 +101,13 @@ REGISTRY: dict[str, tuple[str, str]] = {
     LBC_LEVELS: ("1", "wavefront levels seen by LBC"),
     LBC_SPARTITIONS: ("1", "s-partitions produced by LBC"),
     PLAN_COMPILE_SECONDS: ("s", "wall-clock spent compiling execution plans"),
-    PLAN_LEVEL_STEPS: ("1", "level-batched steps in compiled plans"),
+    PLAN_LEVEL_STEPS: ("1", "level steps (loops with intra-DAG edges) in compiled plans"),
     PLAN_CACHE_HITS: ("1", "plan_for memo hits (content-keyed)"),
     PLAN_CACHE_MISSES: ("1", "plan_for compilations (memo misses)"),
     EXECUTOR_ITERATIONS: ("1", "iterations executed (any executor)"),
     EXECUTOR_BATCHED_ITERATIONS: ("1", "iterations executed vectorized"),
     EXECUTOR_SCALAR_ITERATIONS: ("1", "iterations executed scalar"),
-    EXECUTOR_LEVEL_COUNT: ("1", "level steps executed by the plan executor"),
+    EXECUTOR_LEVEL_COUNT: ("1", "level steps (loops with intra-DAG edges) executed by plan"),
     EXECUTOR_SIM_COMPUTE_CYCLES: ("cycles", "simulated compute (ALU) cycles"),
     EXECUTOR_SIM_MEMORY_CYCLES: ("cycles", "simulated memory-stall cycles"),
     EXECUTOR_SIM_WAIT_CYCLES: ("cycles", "simulated idle-at-barrier cycles"),

@@ -18,8 +18,7 @@ from .metrics import (
     ner,
     potential_gain,
 )
-from .threaded import ThreadedExecutor
-from .trace import export_chrome_trace, simulated_trace_events
+from .trace import simulated_trace_events
 
 __all__ = [
     "CacheConfig",
@@ -34,7 +33,6 @@ __all__ = [
     "MachineConfig",
     "MachineReport",
     "SimulatedMachine",
-    "ThreadedExecutor",
     "gflops",
     "potential_gain",
     "average_memory_latency",
@@ -44,6 +42,5 @@ __all__ = [
     "ScheduleProfile",
     "profile_schedule",
     "format_profile",
-    "export_chrome_trace",
     "simulated_trace_events",
 ]

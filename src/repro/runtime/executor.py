@@ -3,14 +3,13 @@
 Two executors share the same contract — given a valid schedule, the final
 state must equal the unfused sequential reference:
 
-* :func:`execute_schedule` — runs iterations one at a time in schedule
-  order (s-partitions in sequence; within an s-partition, w-partitions
-  back to back; within a w-partition, the packed order). Any *valid*
-  schedule executed this way is equivalent to some legal parallel
-  interleaving, so this is the numerical oracle for schedulers.
-* :class:`ThreadedExecutor` in :mod:`repro.runtime.threaded` — runs
-  w-partitions on real threads with a barrier per s-partition (GIL-bound,
-  for correctness demonstration only; see DESIGN.md §2).
+* :func:`execute_schedule` (here) — runs iterations one at a time in
+  schedule order (s-partitions in sequence; within an s-partition,
+  w-partitions back to back; within a w-partition, the packed order).
+  Any *valid* schedule executed this way is equivalent to some legal
+  parallel interleaving, so this is the numerical oracle for schedulers.
+* :func:`~repro.runtime.plan.execute_schedule_planned` — the fast path:
+  the same schedule compiled once into vectorized level-batched steps.
 
 Both variants of the paper's fused transformation (Fig. 3) collapse to
 the same execution here: *separated* and *interleaved* differ only in
@@ -25,7 +24,7 @@ import numpy as np
 from ..kernels.base import Kernel, State, make_state
 from ..obs import current as current_recorder
 from ..obs import names
-from ..schedule.schedule import FusedSchedule
+from ..schedule.schedule import FusedSchedule, check_loop_counts
 
 __all__ = ["execute_schedule", "run_reference", "allocate_state"]
 
@@ -74,16 +73,7 @@ def execute_schedule(
         from ..obs.memtrace import sanitize_schedule
 
         sanitize_schedule(schedule, kernels, executor="iter").raise_if_violations()
-    if len(kernels) != len(schedule.loop_counts):
-        raise ValueError(
-            f"{len(kernels)} kernels for {len(schedule.loop_counts)} loops"
-        )
-    for k, kern in enumerate(kernels):
-        if kern.n_iterations != schedule.loop_counts[k]:
-            raise ValueError(
-                f"loop {k}: kernel has {kern.n_iterations} iterations, "
-                f"schedule expects {schedule.loop_counts[k]}"
-            )
+    check_loop_counts(kernels, schedule.loop_counts)
     offsets = schedule.offsets
     for kern in kernels:
         kern.setup(state)

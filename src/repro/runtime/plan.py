@@ -50,7 +50,7 @@ from ..kernels.base import Kernel, State
 from ..obs import current as current_recorder
 from ..obs import names
 from ..schedule.cache import fingerprint
-from ..schedule.schedule import FusedSchedule
+from ..schedule.schedule import FusedSchedule, check_loop_counts
 
 __all__ = [
     "PlanStep",
@@ -76,9 +76,10 @@ _plans: OrderedDict[str, "ExecutionPlan"] = OrderedDict()
 class PlanStep:
     """One dispatch of the compiled plan.
 
-    ``kind`` is ``"level"`` (vectorized antichain via
-    ``run_level_batch``), ``"batch"`` (dependence-free ``run_batch``) or
-    ``"scalar"`` (per-iteration loop, preserving packed order).
+    ``kind`` names the loop the step belongs to: ``"level"`` (a loop
+    with intra-DAG edges) or ``"batch"`` (a dependence-free loop), both
+    one vectorized ``run_level_batch`` call; or ``"scalar"``
+    (per-iteration loop, preserving packed order).
     """
 
     kind: str
@@ -134,16 +135,7 @@ def compile_plan(
 
     Groups and levels smaller than :data:`MIN_BATCH` become scalar steps.
     """
-    if len(kernels) != len(schedule.loop_counts):
-        raise ValueError(
-            f"{len(kernels)} kernels for {len(schedule.loop_counts)} loops"
-        )
-    for k, kern in enumerate(kernels):
-        if kern.n_iterations != schedule.loop_counts[k]:
-            raise ValueError(
-                f"loop {k}: kernel has {kern.n_iterations} iterations, "
-                f"schedule expects {schedule.loop_counts[k]}"
-            )
+    check_loop_counts(kernels, schedule.loop_counts)
     rec = current_recorder()
     t0 = time.perf_counter()
     offsets = schedule.offsets
@@ -153,7 +145,6 @@ def compile_plan(
     level_capable = [
         getattr(k, "supports_level_batch", False) for k in kernels
     ]
-    batch_capable = [getattr(k, "supports_batch", False) for k in kernels]
     # Intra-DAG levels, computed lazily per loop (memoized on the DAG).
     kern_levels: list[np.ndarray | None] = [None] * len(kernels)
 
@@ -177,11 +168,13 @@ def compile_plan(
                 if level_capable[k] and iters.shape[0] >= MIN_BATCH:
                     if kern_levels[k] is None:
                         kern_levels[k] = kern.intra_dag().levels()
+                    # a dependence-free loop has one level, hence one step
+                    carried = kern.has_carried_dependence
                     for chunk in _split_levels(iters, kern_levels[k]):
                         if chunk.shape[0] >= MIN_BATCH:
                             steps.append(
                                 PlanStep(
-                                    "level",
+                                    "level" if carried else "batch",
                                     k,
                                     chunk,
                                     kern.precompute_level(chunk),
@@ -189,15 +182,14 @@ def compile_plan(
                                     w=w,
                                 )
                             )
-                            n_level += 1
+                            if carried:
+                                n_level += 1
+                            else:
+                                n_batch += 1
                             n_batched_iters += chunk.shape[0]
                         else:
                             steps.append(PlanStep("scalar", k, chunk, s=s, w=w))
                             n_scalar_iters += chunk.shape[0]
-                elif batch_capable[k] and iters.shape[0] >= MIN_BATCH:
-                    steps.append(PlanStep("batch", k, iters, s=s, w=w))
-                    n_batch += 1
-                    n_batched_iters += iters.shape[0]
                 else:
                     steps.append(PlanStep("scalar", k, iters, s=s, w=w))
                     n_scalar_iters += iters.shape[0]
@@ -268,10 +260,8 @@ def execute_schedule_planned(
         sanitize_schedule(schedule, kernels, executor="plan").raise_if_violations()
     if plan is None:
         plan = plan_for(schedule, kernels)
-    elif len(kernels) != len(plan.loop_counts):
-        raise ValueError(
-            f"{len(kernels)} kernels for {len(plan.loop_counts)} loops"
-        )
+    else:
+        check_loop_counts(kernels, plan.loop_counts)
     for kern in kernels:
         kern.setup(state)
     scratches = [k.make_scratch() for k in kernels]
@@ -281,16 +271,14 @@ def execute_schedule_planned(
     ):
         for step in plan.steps:
             kern = kernels[step.loop]
-            if step.kind == "level":
-                kern.run_level_batch(
-                    step.iters, state, step.precomp, scratches[step.loop]
-                )
-            elif step.kind == "batch":
-                kern.run_batch(step.iters, state, scratches[step.loop])
-            else:
+            if step.kind == "scalar":
                 scratch = scratches[step.loop]
                 for i in step.iters.tolist():
                     kern.run_iteration(i, state, scratch)
+            else:
+                kern.run_level_batch(
+                    step.iters, state, step.precomp, scratches[step.loop]
+                )
     if rec.enabled:
         rec.count(names.EXECUTOR_BATCHED_ITERATIONS, plan.n_batched_iterations)
         rec.count(names.EXECUTOR_SCALAR_ITERATIONS, plan.n_scalar_iterations)

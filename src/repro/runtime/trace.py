@@ -1,6 +1,6 @@
-"""Chrome-trace export of simulated executions.
+"""Chrome-trace events of simulated executions.
 
-Writes a ``chrome://tracing`` / Perfetto-compatible JSON timeline of a
+Builds a ``chrome://tracing`` / Perfetto-compatible timeline of a
 schedule on the simulated machine: one row per thread, one slice per
 w-partition (labelled by s-partition, kernel mix, and cost), barrier
 markers, and **attribution counter tracks** — per-s-partition
@@ -10,16 +10,12 @@ accounting tables. Drop the file into https://ui.perfetto.dev to *see*
 the load imbalance and synchronization structure the paper's plots
 aggregate into single numbers.
 
-:func:`simulated_trace_events` is the reusable core: it returns the raw
-``traceEvents`` list so :mod:`repro.obs.exporters` can merge the
-simulated executor timeline (slices and counter tracks alike) with live
-inspector spans into one unified trace.
+:func:`simulated_trace_events` returns the raw ``traceEvents`` list;
+:func:`repro.obs.export_perfetto` writes it, merged with live inspector
+spans, as one unified trace file.
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 import numpy as np
 
@@ -27,7 +23,7 @@ from ..kernels.base import Kernel
 from ..schedule.schedule import FusedSchedule
 from .machine import MachineConfig, MachineReport, SimulatedMachine
 
-__all__ = ["export_chrome_trace", "simulated_trace_events"]
+__all__ = ["simulated_trace_events"]
 
 
 def simulated_trace_events(
@@ -196,36 +192,3 @@ def simulated_trace_events(
             )
     return events, us(report.total_cycles)
 
-
-def export_chrome_trace(
-    path,
-    schedule: FusedSchedule,
-    kernels: list[Kernel],
-    config: MachineConfig | None = None,
-    *,
-    fidelity: str = "flat",
-) -> Path:
-    """Simulate *schedule* and write its thread timeline to *path*.
-
-    Returns the written path. Timestamps are simulated microseconds.
-    ``otherData.executor_attribution`` carries the compute / memory /
-    wait / barrier totals of the run.
-    """
-    cfg = config or MachineConfig()
-    report = SimulatedMachine(cfg).simulate(schedule, kernels, fidelity=fidelity)
-    events, total_us = simulated_trace_events(
-        schedule, kernels, cfg, fidelity=fidelity, report=report
-    )
-    payload = {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "schedule": schedule.meta.get("scheduler", "unknown"),
-            "total_simulated_us": total_us,
-            "threads": cfg.n_threads,
-            "executor_attribution": report.attribution(),
-        },
-    }
-    path = Path(path)
-    path.write_text(json.dumps(payload))
-    return path

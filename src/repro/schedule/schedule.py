@@ -150,6 +150,19 @@ class FusedSchedule:
         )
 
 
+def check_loop_counts(kernels, loop_counts) -> None:
+    """Raise ``ValueError`` unless *kernels* match *loop_counts* (a
+    schedule's or a compiled plan's) in number and in iterations."""
+    if len(kernels) != len(loop_counts):
+        raise ValueError(f"{len(kernels)} kernels for {len(loop_counts)} loops")
+    for k, kern in enumerate(kernels):
+        if kern.n_iterations != loop_counts[k]:
+            raise ValueError(
+                f"loop {k}: kernel has {kern.n_iterations} iterations, "
+                f"expected {loop_counts[k]}"
+            )
+
+
 def validate_schedule(
     schedule: FusedSchedule,
     dags: list[DAG],

@@ -5,7 +5,7 @@ import pytest
 
 from repro import fuse
 from repro.kernels import SpMVSymLower, SpTRSVCSR, internal_var
-from repro.runtime import ThreadedExecutor, allocate_state
+from repro.runtime import allocate_state, compile_plan, execute_schedule_planned
 
 
 def run_all(kernel, state, order=None):
@@ -48,7 +48,7 @@ def test_batch_matches_loop(low, rng):
     ref = {v: a.copy() for v, a in st.items()}
     run_all(k, ref)
     k.setup(st)
-    k.run_batch(rng.permutation(k.n_iterations), st)
+    k.run_level_batch(rng.permutation(k.n_iterations), st)
     assert np.allclose(st["y"], ref["y"])
 
 
@@ -77,7 +77,7 @@ def test_write_overlap_declared(low):
     k = SpMVSymLower(low)
     j = 3
     assert np.array_equal(np.sort(k.writes_of("y", j)), np.sort(k._touched(j)))
-    assert k.needs_atomic
+    assert k.atomic_update_vars == {"y": ("read", "write")}
 
 
 def test_fused_with_trsv(low, lap2d_nd, rng):
@@ -93,12 +93,15 @@ def test_fused_with_trsv(low, lap2d_nd, rng):
     fl.reference(ref)
     fl.execute(st)
     assert np.allclose(st["z"], ref["z"])
-    # threaded too (atomic lock path)
+    # the compiled plan too: the dependence-free SpMV-sym loop runs as
+    # "batch" steps through run_level_batch
+    plan = compile_plan(fl.schedule, fl.kernels)
+    assert any(s.kind == "batch" and s.loop == 1 for s in plan.steps)
     st2 = {v: a.copy() for v, a in st.items()}
     st2["z"][:] = 0
     st2["x"][:] = 0
-    ThreadedExecutor(4).execute(fl.schedule, fl.kernels, st2)
-    assert np.allclose(st2["z"], ref["z"])
+    execute_schedule_planned(fl.schedule, fl.kernels, st2, plan=plan)
+    assert np.allclose(st2["z"], st["z"], atol=1e-12)
 
 
 def test_rejects_non_lower(lap2d_nd):

@@ -1,7 +1,8 @@
-"""Batched execution: array helpers, kernel ``run_batch``, plan steps.
+"""Batched execution: array helpers, dependence-free batches, plan steps.
 
-``run_batch`` is what a compiled plan's ``"batch"`` steps call; each
-kernel check compares it with the per-iteration loop, and the executor
+A compiled plan's ``"batch"`` steps (dependence-free loops) call
+``run_level_batch`` on a whole w-partition's group; each kernel check
+compares such a call with the per-iteration loop, and the executor
 checks compare plans that take batch/level steps with the oracle."""
 
 import numpy as np
@@ -59,7 +60,7 @@ class TestRunBatch:
         for i in range(k.n_iterations):
             k.run_iteration(i, ref)
         iters = rng.permutation(k.n_iterations)
-        k.run_batch(iters, st)
+        k.run_level_batch(iters, st)
         assert np.allclose(st["y"], ref["y"])
 
     def test_spmv_csr_batch_with_empty_rows(self, rng):
@@ -75,7 +76,7 @@ class TestRunBatch:
         st["Ax"][:] = e.data
         st["x"][:] = rng.random(e.n_cols)
         st["c"][:] = rng.random(e.n_rows)
-        k.run_batch(np.arange(k.n_iterations), st)
+        k.run_level_batch(np.arange(k.n_iterations), st)
         assert np.allclose(st["y"], e.to_dense() @ st["x"] + st["c"])
 
     def test_spmv_csc_batch_equals_loop(self, lap2d_nd, rng):
@@ -85,7 +86,7 @@ class TestRunBatch:
         st["Ax"][:] = csc.data
         st["x"][:] = rng.random(csc.n_cols)
         k.setup(st)
-        k.run_batch(np.arange(k.n_iterations), st)
+        k.run_level_batch(np.arange(k.n_iterations), st)
         assert np.allclose(st["y"], lap2d_nd.to_dense() @ st["x"])
 
     def test_dscal_batch_equals_loop(self, lap2d_nd):
@@ -94,19 +95,20 @@ class TestRunBatch:
         st["Ax"][:] = lap2d_nd.data
         ref = {v: a.copy() for v, a in st.items()}
         k.run_reference(ref)
-        k.run_batch(np.arange(k.n_iterations), st)
+        k.run_level_batch(np.arange(k.n_iterations), st)
         assert np.allclose(st["Sx"], ref["Sx"])
 
     def test_default_run_batch_falls_back(self, lap2d_nd, rng):
-        from repro.kernels import SpTRSVCSR
+        """The base-class ``run_level_batch`` runs *iters* one by one, in
+        order — correct even across a dependence chain."""
+        from repro.kernels import Kernel, SpTRSVCSR
 
         low = lap2d_nd.lower_triangle()
         k = SpTRSVCSR(low)
-        assert not k.supports_batch
         st = allocate_state([k])
         st["Lx"][:] = low.data
         st["b"][:] = rng.random(low.n_rows)
-        k.run_batch(np.arange(k.n_iterations), st)  # sequential fallback
+        Kernel.run_level_batch(k, np.arange(k.n_iterations), st)
         assert np.allclose(np.tril(low.to_dense()) @ st["x"], st["b"])
 
 

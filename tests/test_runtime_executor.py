@@ -1,4 +1,4 @@
-"""Executor tests: sequential-faithful and threaded."""
+"""Executor tests: the per-iteration oracle and the compiled plan."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,10 @@ from repro import fuse
 from repro.fusion import build_combination
 from repro.kernels import SpMVCSR, SpTRSVCSR, internal_var
 from repro.runtime import (
-    ThreadedExecutor,
     allocate_state,
+    compile_plan,
     execute_schedule,
+    execute_schedule_planned,
     run_reference,
 )
 from repro.schedule import FusedSchedule
@@ -48,31 +49,26 @@ def test_run_reference_order(lap2d_nd):
     assert np.allclose(l_dense @ state["y"], state["b"])
 
 
-def test_threaded_equals_sequential_on_all_zoo(matrix_zoo):
+def test_plan_equals_iter_on_all_zoo(matrix_zoo):
     for name, mat in matrix_zoo:
         kernels, state = build_combination(1, mat, seed=3)
         fl = fuse(kernels, 4)
         st_seq = {v: a.copy() for v, a in state.items()}
         fl.execute(st_seq)
-        st_thr = {v: a.copy() for v, a in state.items()}
-        ThreadedExecutor(4).execute(fl.schedule, kernels, st_thr)
+        st_plan = {v: a.copy() for v, a in state.items()}
+        execute_schedule_planned(fl.schedule, kernels, st_plan)
         for var in st_seq:
             if internal_var(var):
                 continue
-            assert np.array_equal(st_seq[var], st_thr[var]), (name, var)
+            assert np.allclose(st_seq[var], st_plan[var], atol=1e-12), (name, var)
 
 
-def test_threaded_rejects_bad_thread_count():
-    with pytest.raises(ValueError):
-        ThreadedExecutor(0)
-
-
-def test_threaded_propagates_worker_exception(lap2d_nd):
+def test_plan_propagates_kernel_exception(lap2d_nd):
     kernels, state = build_combination(5, lap2d_nd)
     state["Ax"][lap2d_nd.diagonal_positions()[0]] = 0.0  # ILU0 zero pivot
     fl = fuse(kernels, 2, validate=False)
     with pytest.raises(ValueError, match="pivot"):
-        ThreadedExecutor(2).execute(fl.schedule, kernels, state)
+        execute_schedule_planned(fl.schedule, kernels, state)
 
 
 def test_allocate_state_zeroed(lap2d_nd):
@@ -81,14 +77,15 @@ def test_allocate_state_zeroed(lap2d_nd):
     assert all(np.all(a == 0) for a in st.values())
 
 
-def test_scratch_passed_per_thread(lap3d_nd, rng):
-    """IC0 under threads: per-thread scratch must not corrupt results
-    (exercised by running many times to give races a chance)."""
+def test_scratch_fresh_per_execution(lap3d_nd, rng):
+    """IC0 through one compiled plan, run repeatedly: each execution
+    gets fresh kernel scratch, so no run can corrupt the next."""
     kernels, state = build_combination(4, lap3d_nd, seed=1)
     fl = fuse(kernels, 4)
+    plan = compile_plan(fl.schedule, kernels)
     expected = {v: a.copy() for v, a in state.items()}
     run_reference(kernels, expected)
     for trial in range(3):
         st = {v: a.copy() for v, a in state.items()}
-        ThreadedExecutor(4).execute(fl.schedule, kernels, st)
+        execute_schedule_planned(fl.schedule, kernels, st, plan=plan)
         assert np.array_equal(st["Lx"], expected["Lx"]), trial

@@ -111,6 +111,17 @@ class TestEquivalence:
         st1, st2 = _run_both(fused.schedule, fused.kernels, state)
         assert np.allclose(st1["z"], st2["z"], atol=1e-12)
 
+    def test_step_kind_names_the_loop(self, lap3d_nd):
+        """``"level"`` steps belong to loops with intra-DAG edges and
+        ``"batch"`` steps to dependence-free loops; both dispatch
+        ``run_level_batch``, and the plan counts them apart."""
+        kernels, _ = build_combination(3, lap3d_nd, seed=1)  # TRSV -> SpMV
+        plan = compile_plan(fuse(kernels, 8).schedule, kernels)
+        kinds = {(s.loop, s.kind) for s in plan.steps if s.kind != "scalar"}
+        assert kinds == {(0, "level"), (1, "batch")}
+        assert plan.n_level_steps == sum(s.kind == "level" for s in plan.steps)
+        assert plan.n_batch_steps == sum(s.kind == "batch" for s in plan.steps)
+
     def test_planned_deterministic_across_runs(self, lap3d_nd):
         """Two planned executions of the same plan are bitwise equal."""
         kernels, state = build_combination(3, lap3d_nd, seed=5)
@@ -194,6 +205,20 @@ class TestMemoization:
         bad = FusedSchedule((1,), [[np.array([0])]])
         with pytest.raises(ValueError):
             execute_schedule_planned(bad, kernels, state)
+
+    def test_prebuilt_plan_for_other_loop_sizes_rejected(self):
+        """A plan compiled for 64-iteration loops refuses kernels with 81
+        iterations instead of running them on the wrong indices."""
+        from repro.sparse import apply_ordering, laplacian_2d
+
+        small, _ = apply_ordering(laplacian_2d(8), "nd")
+        big, _ = apply_ordering(laplacian_2d(9), "nd")
+        k_small, _ = build_combination(1, small)
+        k_big, state = build_combination(1, big)
+        plan = compile_plan(fuse(k_small, 4).schedule, k_small)
+        fl = fuse(k_big, 4)
+        with pytest.raises(ValueError, match="81 iterations, expected 64"):
+            execute_schedule_planned(fl.schedule, k_big, state, plan=plan)
 
 
 class TestSolverIntegration:

@@ -1,4 +1,4 @@
-"""Chrome-trace export tests."""
+"""Chrome-trace tests: the simulated executor timeline."""
 
 import json
 
@@ -8,7 +8,8 @@ import pytest
 from repro import fuse
 from repro.fusion import build_combination
 from repro.runtime import MachineConfig, SimulatedMachine
-from repro.runtime.trace import export_chrome_trace, simulated_trace_events
+from repro.obs import Recorder, export_perfetto
+from repro.runtime.trace import simulated_trace_events
 from repro.schedule import FusedSchedule
 
 
@@ -20,14 +21,19 @@ def fused(lap2d_nd):
 
 def test_trace_structure(tmp_path, fused):
     fl, kernels = fused
-    p = export_chrome_trace(
-        tmp_path / "trace.json", fl.schedule, kernels, MachineConfig(n_threads=4)
+    p = export_perfetto(
+        Recorder(),
+        tmp_path / "trace.json",
+        schedule=fl.schedule,
+        kernels=kernels,
+        config=MachineConfig(n_threads=4),
     )
     data = json.loads(p.read_text())
     events = data["traceEvents"]
     assert events, "no events"
-    slices = [e for e in events if e["cat"] == "wpartition"]
-    barriers = [e for e in events if e["cat"] == "barrier"]
+    # process/thread metadata events carry no "cat"
+    slices = [e for e in events if e.get("cat") == "wpartition"]
+    barriers = [e for e in events if e.get("cat") == "barrier"]
     assert len(barriers) == fl.schedule.n_spartitions
     assert len(slices) == sum(len(w) for w in fl.schedule.s_partitions)
     # thread ids bounded by machine size
@@ -38,10 +44,12 @@ def test_trace_structure(tmp_path, fused):
 
 def test_trace_timestamps_monotone_per_spartition(tmp_path, fused):
     fl, kernels = fused
-    p = export_chrome_trace(tmp_path / "t.json", fl.schedule, kernels)
+    p = export_perfetto(
+        Recorder(), tmp_path / "t.json", schedule=fl.schedule, kernels=kernels
+    )
     events = json.loads(p.read_text())["traceEvents"]
     slices = sorted(
-        (e for e in events if e["cat"] == "wpartition"),
+        (e for e in events if e.get("cat") == "wpartition"),
         key=lambda e: e["args"]["s_partition"],
     )
     starts = [e["ts"] for e in slices]
@@ -53,10 +61,12 @@ def test_trace_timestamps_monotone_per_spartition(tmp_path, fused):
 
 def test_trace_iteration_totals(tmp_path, fused):
     fl, kernels = fused
-    p = export_chrome_trace(tmp_path / "t.json", fl.schedule, kernels)
+    p = export_perfetto(
+        Recorder(), tmp_path / "t.json", schedule=fl.schedule, kernels=kernels
+    )
     events = json.loads(p.read_text())["traceEvents"]
     total = sum(
-        e["args"]["iterations"] for e in events if e["cat"] == "wpartition"
+        e["args"]["iterations"] for e in events if e.get("cat") == "wpartition"
     )
     assert total == fl.schedule.n_vertices
 
