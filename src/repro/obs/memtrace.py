@@ -14,7 +14,8 @@ the schedule's happens-before relation:
     ``HB(u, v)  ⟺  s(u) < s(v)``  (barrier between s-partitions)
     ``          or s(u) = s(v) ∧ w(u) = w(v) ∧ t(u) < t(v)``
 
-where ``t`` is the executor's *dispatch* index inside a w-partition.
+where ``t`` is the executor's *dispatch* index inside a w-partition
+(for ``"plan"``, inside a coalesced s-partition; see below).
 Because ``t`` depends on how an executor groups iterations, the
 sanitizer models both executors:
 
@@ -23,6 +24,15 @@ sanitizer models both executors:
   :class:`~repro.runtime.plan.PlanStep`: a level batch's members are
   concurrent, so the level-batching legality argument in
   docs/performance.md is checked dynamically here, not just argued.
+  A coalesced s-partition (:func:`repro.runtime.plan.coalesced_s_partitions`)
+  runs as one sequence of steps, each spanning all its w-partitions, so
+  ``t`` counts dispatches per s-partition there and per ``(s, w)``
+  elsewhere. The rule above is unchanged: a step's members in one
+  w-partition share a ``t`` and are unordered, members in different
+  w-partitions are unordered anyway, and a step is ordered after every
+  earlier step of its unit. Any conflicting pair across the w-partitions
+  of one s-partition is still flagged, which is exactly the property
+  that makes coalescing legal.
 
 Commutative scatter accumulations (``y[rows] += ...`` under the paper's
 ``Atomic`` annotation) are declared per kernel via
@@ -387,9 +397,10 @@ def execution_coordinates(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-vertex ``(s, w, t)`` happens-before coordinates.
 
-    ``t`` is the dispatch index within the vertex's w-partition under
-    the named executor; vertices sharing a ``t`` are concurrent (one
-    vectorized batch / level step).
+    ``t`` is the dispatch index under the named executor, counted per
+    w-partition — or, for the ``"plan"`` executor, per coalesced
+    s-partition (module docstring); vertices sharing a ``t`` are
+    concurrent (one vectorized batch / level step).
     """
     sp, wp, pos = schedule.assignment()
     sp = sp.astype(np.int64)
@@ -400,15 +411,17 @@ def execution_coordinates(
         raise ValueError(
             f"unknown executor {executor!r}; expected 'iter' or 'plan'"
         )
-    from ..runtime.plan import plan_for
+    from ..runtime.plan import coalesced_s_partitions, plan_for
 
     offsets = schedule.offsets
+    coalesced = coalesced_s_partitions(schedule)
     tt = np.zeros(schedule.n_vertices, dtype=np.int64)
     next_t: dict[tuple[int, int], int] = {}
     for step in plan_for(schedule, kernels).steps:
-        key = (step.s, step.w)
-        t = next_t.get(key, 0)
         gids = np.asarray(step.iters, dtype=np.int64) + int(offsets[step.loop])
+        # a per-w unit's steps all lie in one w-partition
+        key = (step.s, -1 if coalesced[step.s] else int(wp[gids[0]]))
+        t = next_t.get(key, 0)
         if step.kind == "scalar":
             tt[gids] = np.arange(t, t + gids.shape[0])
             t += gids.shape[0]

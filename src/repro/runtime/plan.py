@@ -8,11 +8,18 @@ module is the fast path: it compiles a
 the dependence-carrying kernels (SpTRSV, SpIC0, SpILU0 — the very loops
 the paper fuses) as well as the parallel ones:
 
-* Within every w-partition, iterations are regrouped by loop (ascending
-  program order) and each dependence-carrying group is split into
-  **intra-DAG level sets** — antichains whose members are mutually
-  independent and may therefore execute as one vectorized
-  :meth:`~repro.kernels.base.Kernel.run_level_batch` call.
+* The compile unit is an s-partition: its w-partitions are
+  concatenated, regrouped by loop (ascending program order) and each
+  dependence-carrying group is split into **intra-DAG level sets** —
+  antichains whose members are mutually independent and may therefore
+  execute as one vectorized
+  :meth:`~repro.kernels.base.Kernel.run_level_batch` call. One step
+  thus covers one (s-partition, loop, level), whatever the number of
+  w-partitions. An s-partition of more than
+  :data:`COALESCE_MAX_VERTICES` vertices is the exception: each of its
+  w-partitions is its own unit, which keeps the per-w interleaving of
+  loops (the fused locality) where steps are wide enough that dispatch
+  cost no longer dominates.
 * Per level, the kernel's :meth:`~repro.kernels.base.Kernel.precompute_level`
   builds the concatenated gather/scatter index arrays and
   ``np.add.reduceat`` segment boundaries up front, so executing the plan
@@ -26,15 +33,18 @@ the paper fuses) as well as the parallel ones:
   :mod:`repro.obs` make the amortization visible.
 
 Legality of the regrouping (see docs/performance.md for the full
-argument): within a w-partition, (a) inter-loop dependences only flow
-from a lower to a higher loop index, because the inspector builds ``F``
-for ordered loop pairs only, so running complete loop groups in
-ascending program order satisfies them; (b) intra-loop dependences
-always increase the intra-DAG level, so ascending level order satisfies
-them and same-level iterations form an antichain; (c) dependences whose
-source lies in a *different* w-partition come from an earlier
-s-partition by the :func:`~repro.schedule.schedule.validate_schedule`
-dependence rule, and s-partitions stay sequential.
+argument): within a unit, (a) inter-loop dependences only flow from a
+lower to a higher loop index, because the inspector builds ``F`` for
+ordered loop pairs only, so running complete loop groups in ascending
+program order satisfies them; (b) intra-loop dependences always
+increase the intra-DAG level, so ascending level order satisfies them
+and same-level iterations form an antichain; (c) the
+:func:`~repro.schedule.schedule.validate_schedule` dependence rule
+leaves no edge between two w-partitions of one s-partition — a
+dependence whose source lies in a different w-partition comes from an
+earlier s-partition, and s-partitions stay sequential. By (c), merging
+the w-partitions of an s-partition into one unit adds no edge that (a)
+and (b) do not already order.
 """
 
 from __future__ import annotations
@@ -57,6 +67,7 @@ __all__ = [
     "ExecutionPlan",
     "compile_plan",
     "plan_for",
+    "coalesced_s_partitions",
     "execute_schedule_planned",
 ]
 
@@ -65,6 +76,13 @@ __all__ = [
 #: conversion, ufunc dispatch) while a scalar iteration pays one Python
 #: call, so below about 4 iterations vectorizing loses.
 MIN_BATCH = 4
+
+#: Largest s-partition (in vertices) compiled as one unit. Coalescing
+#: its w-partitions cuts dispatches several-fold but gives up their
+#: per-w interleaving of loops (the fused locality), which is worth more
+#: once steps are this wide: measured in EXPERIMENTS.md, coalescing wins
+#: up to 82k-vertex s-partitions and loses at 191k and 334k.
+COALESCE_MAX_VERTICES = 2**17
 
 #: Compiled plans :func:`plan_for` keeps, least recently used evicted.
 PLAN_CACHE_SIZE = 16
@@ -79,18 +97,19 @@ class PlanStep:
     ``kind`` names the loop the step belongs to: ``"level"`` (a loop
     with intra-DAG edges) or ``"batch"`` (a dependence-free loop), both
     one vectorized ``run_level_batch`` call; or ``"scalar"``
-    (per-iteration loop, preserving packed order).
+    (per-iteration loop, preserving packed order). ``iters`` may span
+    several w-partitions of s-partition ``s`` (see
+    :func:`coalesced_s_partitions`).
     """
 
     kind: str
     loop: int
     iters: np.ndarray
     precomp: Any = None
-    #: schedule coordinates of the dispatch (s-partition / w-partition);
-    #: the dependence sanitizer uses them to model plan-executor
-    #: happens-before, where one level/batch step is a concurrent unit
+    #: the step's s-partition; the dependence sanitizer uses it to model
+    #: plan-executor happens-before, where one level/batch step is a
+    #: concurrent unit
     s: int = 0
-    w: int = 0
 
 
 @dataclass
@@ -104,6 +123,9 @@ class ExecutionPlan:
 
     loop_counts: tuple[int, ...]
     steps: list[PlanStep]
+    #: :func:`repro.schedule.fingerprint` of the kernels compiled for;
+    #: a prebuilt plan refuses kernels of any other pattern
+    kernels_key: str = ""
     n_level_steps: int = 0
     n_batch_steps: int = 0
     n_scalar_iterations: int = 0
@@ -126,6 +148,28 @@ def _split_levels(iters: np.ndarray, levels: np.ndarray) -> list[np.ndarray]:
     sorted_lv = lv[order]
     boundaries = np.nonzero(np.diff(sorted_lv))[0] + 1
     return [iters[g] for g in np.split(order, boundaries)]
+
+
+def coalesced_s_partitions(schedule: FusedSchedule) -> list[bool]:
+    """Per s-partition, whether it compiles as one unit (at most
+    :data:`COALESCE_MAX_VERTICES` vertices) rather than one unit per
+    w-partition."""
+    return [
+        sum(w.shape[0] for w in wl) <= COALESCE_MAX_VERTICES
+        for wl in schedule.s_partitions
+    ]
+
+
+def _units(schedule: FusedSchedule):
+    """Yield the ``(s, vertices)`` compile units in execution order: a
+    coalesced s-partition's w-partitions concatenated, otherwise each
+    w-partition on its own."""
+    coalesced = coalesced_s_partitions(schedule)
+    for s, wlist in enumerate(schedule.s_partitions):
+        if coalesced[s] and len(wlist) > 1:
+            wlist = [np.concatenate(wlist)]
+        for verts in wlist:
+            yield s, verts
 
 
 def compile_plan(
@@ -151,7 +195,7 @@ def compile_plan(
     steps: list[PlanStep] = []
     n_level = n_batch = n_scalar_iters = n_batched_iters = 0
     with rec.span("plan.compile", vertices=schedule.n_vertices):
-        for s, w, verts in schedule.iter_all():
+        for s, verts in _units(schedule):
             if verts.shape[0] == 0:
                 continue
             loops = loop_of[verts]
@@ -179,7 +223,6 @@ def compile_plan(
                                     chunk,
                                     kern.precompute_level(chunk),
                                     s=s,
-                                    w=w,
                                 )
                             )
                             if carried:
@@ -188,10 +231,10 @@ def compile_plan(
                                 n_batch += 1
                             n_batched_iters += chunk.shape[0]
                         else:
-                            steps.append(PlanStep("scalar", k, chunk, s=s, w=w))
+                            steps.append(PlanStep("scalar", k, chunk, s=s))
                             n_scalar_iters += chunk.shape[0]
                 else:
-                    steps.append(PlanStep("scalar", k, iters, s=s, w=w))
+                    steps.append(PlanStep("scalar", k, iters, s=s))
                     n_scalar_iters += iters.shape[0]
     compile_seconds = time.perf_counter() - t0
     if rec.enabled:
@@ -200,6 +243,7 @@ def compile_plan(
     return ExecutionPlan(
         loop_counts=tuple(schedule.loop_counts),
         steps=steps,
+        kernels_key=fingerprint(kernels),
         n_level_steps=n_level,
         n_batch_steps=n_batch,
         n_scalar_iterations=n_scalar_iters,
@@ -262,6 +306,10 @@ def execute_schedule_planned(
         plan = plan_for(schedule, kernels)
     else:
         check_loop_counts(kernels, plan.loop_counts)
+        if fingerprint(kernels) != plan.kernels_key:
+            raise ValueError(
+                "prebuilt plan was compiled for kernels of another sparsity pattern"
+            )
     for kern in kernels:
         kern.setup(state)
     scratches = [k.make_scratch() for k in kernels]

@@ -16,7 +16,7 @@ from repro.obs.memtrace import (
     derive_dependence_pairs,
     execution_coordinates,
 )
-from repro.runtime import execute_schedule, execute_schedule_planned
+from repro.runtime import execute_schedule, execute_schedule_planned, plan_for
 from repro.schedule import ScheduleError, validate_schedule
 
 EXECUTORS = ("iter", "plan")
@@ -210,6 +210,46 @@ def test_execution_coordinates_match_assignment(executor, lap2d_nd):
     np.testing.assert_array_equal(wp, ewp)
     assert tt.shape == sp.shape
     assert (tt >= 0).all()
+
+
+def test_coalesced_plan_step_shares_one_t(lap2d_nd):
+    """A plan step spanning several w-partitions of a coalesced
+    s-partition is one concurrent dispatch: its members share one ``t``."""
+    kernels, _ = build_combination(1, lap2d_nd, seed=1)
+    fl = fuse(kernels, 6)
+    _, wp, tt = execution_coordinates(fl.schedule, kernels, "plan")
+    offsets = fl.schedule.offsets
+    spanning = 0
+    for step in plan_for(fl.schedule, kernels).steps:
+        if step.kind == "scalar":
+            continue
+        gids = step.iters + offsets[step.loop]
+        if np.unique(wp[gids]).size >= 2:
+            spanning += 1
+            assert np.unique(tt[gids]).size == 1
+    assert spanning > 0
+
+
+def test_cross_w_edge_in_coalesced_s_partition_flagged():
+    """Coalescing would order a cross-w edge by level; the plan model
+    still reports it, since it is what makes coalescing illegal."""
+    from repro.kernels import SpTRSVCSR
+    from repro.schedule import FusedSchedule
+    from repro.sparse import banded_spd
+
+    kern = SpTRSVCSR(banded_spd(40, 1).lower_triangle())  # pure chain
+    n = kern.n_iterations
+    # 0 -> 1 is an edge, split across two w-partitions of one s-partition
+    sched = FusedSchedule(
+        (n,),
+        [
+            [np.array([0], dtype=np.int64), np.array([1], dtype=np.int64)],
+            [np.arange(2, n, dtype=np.int64)],
+        ],
+    )
+    rep = sanitize_schedule(sched, [kern], executor="plan")
+    assert rep.n_violations == 1
+    assert {rep.violations[0].producer.w, rep.violations[0].consumer.w} == {0, 1}
 
 
 def test_incomplete_schedule_rejected(lap2d_nd):

@@ -26,11 +26,11 @@ from repro.obs import recording
 from repro.schedule import FusedSchedule
 
 
-def _run_both(schedule, kernels, state):
+def _run_both(schedule, kernels, state, plan=None):
     st1 = {k: v.copy() for k, v in state.items()}
     st2 = {k: v.copy() for k, v in state.items()}
     execute_schedule(schedule, kernels, st1)
-    execute_schedule_planned(schedule, kernels, st2)
+    execute_schedule_planned(schedule, kernels, st2, plan=plan)
     return st1, st2
 
 
@@ -134,6 +134,89 @@ class TestEquivalence:
             assert np.array_equal(st1[var], st2[var]), var
 
 
+@pytest.fixture(scope="module")
+def lap2d_natural():
+    """Naturally ordered 2-D Laplacian (16x16): many narrow
+    s-partitions, each spanning several w-partitions."""
+    from repro.sparse import laplacian_2d
+
+    return laplacian_2d(16)
+
+
+def _levels_touched(schedule, kernels, per_w):
+    """Steps a plan needs: per unit and loop, the number of intra-DAG
+    levels the loop touches there."""
+    offsets = schedule.offsets
+    levels = [k.intra_dag().levels() for k in kernels]
+    total = 0
+    for wlist in schedule.s_partitions:
+        units = wlist if per_w else [np.concatenate(wlist)]
+        for verts in units:
+            for k in range(len(kernels)):
+                own = verts[(verts >= offsets[k]) & (verts < offsets[k + 1])]
+                total += np.unique(levels[k][own - offsets[k]]).size
+    return total
+
+
+class TestCoalescing:
+    """One step per (s-partition, loop, level) below
+    ``COALESCE_MAX_VERTICES``, one per w-partition above it."""
+
+    def test_steps_are_levels_touched_per_s_partition(self, lap2d_natural):
+        kernels, _ = build_combination(1, lap2d_natural, seed=1)
+        sched = fuse(kernels, 8).schedule
+        plan = compile_plan(sched, kernels)
+        assert max(len(w) for w in sched.s_partitions) >= 2
+        assert plan.n_steps == _levels_touched(sched, kernels, per_w=False)
+        assert plan.n_steps < _levels_touched(sched, kernels, per_w=True)
+
+    def test_large_s_partition_keeps_per_w_steps(self, lap2d_nd, monkeypatch):
+        kernels, state = build_combination(1, lap2d_nd, seed=1)
+        sched = fuse(kernels, 6).schedule
+        sizes = [sum(w.shape[0] for w in wl) for wl in sched.s_partitions]
+        monkeypatch.setattr(
+            "repro.runtime.plan.COALESCE_MAX_VERTICES", max(sizes) - 1
+        )
+        plan = compile_plan(sched, kernels)
+        _, wp, _ = sched.assignment()
+        big = int(np.argmax(sizes))
+        assert len(sched.s_partitions[big]) >= 2
+        spans = [
+            np.unique(wp[st.iters + sched.offsets[st.loop]]).size
+            for st in plan.steps
+            if st.s == big
+        ]
+        assert spans and max(spans) == 1
+        monkeypatch.setattr("repro.runtime.plan.COALESCE_MAX_VERTICES", -1)
+        per_w = compile_plan(sched, kernels)
+        assert sum(st.s == big for st in plan.steps) == sum(
+            st.s == big for st in per_w.steps
+        )
+        st1, st2 = _run_both(sched, kernels, state, plan)
+        for var in st1:
+            assert np.allclose(st1[var], st2[var], atol=1e-12), var
+
+    @pytest.mark.parametrize("cid", (1, 3, 4, 5))
+    @pytest.mark.parametrize("ordering", ("natural", "nd"))
+    @pytest.mark.parametrize("cap", (None, -1), ids=("coalesced", "per-w"))
+    def test_matches_iter(self, cid, ordering, cap, lap2d_natural, monkeypatch):
+        from repro.sparse import apply_ordering
+
+        if cap is not None:
+            monkeypatch.setattr("repro.runtime.plan.COALESCE_MAX_VERTICES", cap)
+        a = lap2d_natural
+        if ordering != "natural":
+            a, _ = apply_ordering(a, ordering)
+        kernels, state = build_combination(cid, a, seed=cid)
+        sched = fuse(kernels, 8).schedule
+        # a local plan: plan_for's memo ignores the patched constant
+        st1, st2 = _run_both(sched, kernels, state, compile_plan(sched, kernels))
+        for var in st1:
+            if internal_var(var):
+                continue
+            assert np.allclose(st1[var], st2[var], atol=1e-12), (cid, var)
+
+
 class TestDegenerateSchedules:
     def test_empty_w_partitions(self, lap2d_nd, rng):
         """Schedules may carry empty w-partitions; the compiler must
@@ -219,6 +302,32 @@ class TestMemoization:
         fl = fuse(k_big, 4)
         with pytest.raises(ValueError, match="81 iterations, expected 64"):
             execute_schedule_planned(fl.schedule, k_big, state, plan=plan)
+
+    def test_prebuilt_plan_for_other_pattern_rejected(self):
+        """Equal loop counts are not enough: a plan compiled on ND lap2d
+        8x8 refuses natural-order lap2d 8x8 kernels instead of running
+        them on the wrong indices."""
+        from repro.sparse import apply_ordering, laplacian_2d
+
+        nat = laplacian_2d(8)
+        nd, _ = apply_ordering(nat, "nd")
+        k_nd, _ = build_combination(1, nd)
+        k_nat, state = build_combination(1, nat)
+        plan = compile_plan(fuse(k_nd, 4).schedule, k_nd)
+        fl = fuse(k_nat, 4)
+        with pytest.raises(ValueError, match="another sparsity pattern"):
+            execute_schedule_planned(fl.schedule, k_nat, state, plan=plan)
+
+    def test_prebuilt_plan_accepts_rebuilt_kernels(self, lap2d_nd):
+        """Kernels rebuilt on new values of one pattern share the plan."""
+        k1, _ = build_combination(1, lap2d_nd, seed=1)
+        k2, state = build_combination(1, lap2d_nd, seed=2)
+        sched = fuse(k1, 4).schedule
+        plan = compile_plan(sched, k1)
+        st = {k: v.copy() for k, v in state.items()}
+        execute_schedule_planned(sched, k2, st, plan=plan)
+        execute_schedule(sched, k2, state)
+        assert np.allclose(st["z"], state["z"], atol=1e-12)
 
 
 class TestSolverIntegration:
