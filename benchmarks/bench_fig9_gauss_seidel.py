@@ -31,7 +31,7 @@ UNROLLS = (1, 2, 3)  # 2, 4, 6 fused loops
 METHODS = ("parsy", "sparse-fusion", "joint-lbc", "joint-wavefront")
 
 
-def best_solve(a, b, method, iterations, n_threads=8):
+def best_solve(a, method, iterations, n_threads=8):
     """Fastest (simulated) GS solve over the unroll search space.
 
     Convergence iteration counts are method-independent (every schedule
@@ -42,7 +42,7 @@ def best_solve(a, b, method, iterations, n_threads=8):
     best = None
     for unroll in UNROLLS:
         r = gauss_seidel_simulated(
-            a, b, iterations=iterations, unroll=unroll,
+            a, iterations=iterations, unroll=unroll,
             method=method, n_threads=n_threads,
         )
         if best is None or r.simulated_solve_seconds < best.simulated_solve_seconds:
@@ -56,11 +56,11 @@ def run(verbose=True):
         rng = np.random.default_rng(1)
         b = rng.random(m.matrix.n_rows)
         iters = gs_iterations_to_converge(m.matrix, b, tol=1e-6, max_iters=1000)
-        parsy = best_solve(m.matrix, b, "parsy", iters)
-        fusion = best_solve(m.matrix, b, "sparse-fusion", iters)
+        parsy = best_solve(m.matrix, "parsy", iters)
+        fusion = best_solve(m.matrix, "sparse-fusion", iters)
         joint = min(
             (
-                best_solve(m.matrix, b, meth, iters)
+                best_solve(m.matrix, meth, iters)
                 for meth in ("joint-lbc", "joint-wavefront")
             ),
             key=lambda r: r.simulated_solve_seconds,
@@ -132,8 +132,8 @@ def test_fig9_fusion_beats_parsy():
     rng = np.random.default_rng(0)
     b = rng.random(a.n_rows)
     iters = gs_iterations_to_converge(a, b, tol=1e-6, max_iters=300)
-    fusion = best_solve(a, b, "sparse-fusion", iters)
-    parsy = best_solve(a, b, "parsy", iters)
+    fusion = best_solve(a, "sparse-fusion", iters)
+    parsy = best_solve(a, "parsy", iters)
     assert fusion.simulated_solve_seconds <= parsy.simulated_solve_seconds
 
 

@@ -55,9 +55,8 @@ import sys
 
 import numpy as np
 
-from .baselines import IMPLEMENTATIONS, compare_implementations
+from .baselines import compare_implementations
 from .fusion import COMBINATIONS, build_combination, fuse
-from .graph import DAG
 from .obs import (
     Recorder,
     export_jsonl,
@@ -323,7 +322,6 @@ def _cmd_gs(args) -> int:
             unroll=args.unroll,
             method=args.method,
             n_threads=args.threads,
-            executor=args.executor,
         )
     status = "converged" if res.converged else "NOT converged"
     print(
@@ -331,7 +329,7 @@ def _cmd_gs(args) -> int:
         f"(residual {res.residuals[-1]:.2e})"
     )
     print(
-        f"simulated solve {res.simulated_solve_seconds * 1e3:.2f} ms, "
+        f"solve {res.meta['solve_seconds'] * 1e3:.2f} ms (measured), "
         f"inspector {res.inspector_seconds * 1e3:.1f} ms, "
         f"{res.meta['chunks']} chunks of {2 * args.unroll} fused loops"
     )
@@ -341,9 +339,7 @@ def _cmd_gs(args) -> int:
         if args.sanitize:
             from .obs.memtrace import sanitize_schedule
 
-            report = sanitize_schedule(
-                res.schedule, kernels, executor=args.executor
-            )
+            report = sanitize_schedule(res.schedule, kernels, executor="plan")
             print(report.summary())
             report.raise_if_violations()
         if args.doctor:
@@ -602,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, trace=False, executor=False, doctor=False):
+    def common(sp, *, trace=False, executor=False, sanitize=False, doctor=False):
         sp.add_argument("--matrix", default="lap3d:10", help="matrix spec")
         sp.add_argument(
             "--ordering",
@@ -641,11 +637,13 @@ def build_parser() -> argparse.ArgumentParser:
                 help="schedule executor: compiled level-batched plan, or "
                 "the per-iteration oracle",
             )
+        if sanitize:
             sp.add_argument(
                 "--sanitize",
                 action="store_true",
                 help="shadow-check every memory dependence under the "
-                "chosen executor's happens-before model before running "
+                "running executor's happens-before model (plan unless "
+                "--executor says otherwise) "
                 "(exit 1 on violations; see `repro sanitize`)",
             )
 
@@ -654,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_info)
 
     sp = sub.add_parser("fuse", help="fuse one Table 1 combination")
-    common(sp, trace=True, executor=True)
+    common(sp, trace=True, executor=True, sanitize=True)
     sp.add_argument("--combo", type=int, default=4, choices=sorted(COMBINATIONS))
     sp.add_argument(
         "--scheduler",
@@ -665,12 +663,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_fuse)
 
     sp = sub.add_parser("compare", help="compare all implementations")
-    common(sp, trace=True, executor=True, doctor=True)
+    common(sp, trace=True, executor=True, sanitize=True, doctor=True)
     sp.add_argument("--combo", type=int, default=4, choices=sorted(COMBINATIONS))
     sp.set_defaults(fn=_cmd_compare)
 
     sp = sub.add_parser("gs", help="fused Gauss-Seidel solve")
-    common(sp, trace=True, executor=True, doctor=True)
+    common(sp, trace=True, sanitize=True, doctor=True)
     sp.add_argument("--unroll", type=int, default=2)
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--max-iters", type=int, default=2000)

@@ -121,14 +121,6 @@ class Kernel(abc.ABC):
         """Allocate per-execution scratch."""
         return None
 
-    #: True when :meth:`run_level_batch` can execute a set of *mutually
-    #: independent* iterations (one intra-DAG level, or any independent
-    #: set) in one vectorized call — the one vectorized entry point, for
-    #: dependence-free loops (whose only level is the whole loop) and
-    #: loops with loop-carried dependences alike. The compiled-plan fast
-    #: path (:mod:`repro.runtime.plan`) dispatches it.
-    supports_level_batch: bool = False
-
     def precompute_level(self, iters: np.ndarray) -> Any:
         """Build the reusable per-level precomputation for *iters*.
 
@@ -152,10 +144,11 @@ class Kernel(abc.ABC):
 
         *iters* must be an antichain of the intra-DAG (no dependence
         between any two of them) whose predecessors have all executed —
-        exactly what one w-partition ∩ level set of a valid schedule
-        provides. *precomp* is the value returned by
-        :meth:`precompute_level` for the same *iters*. The default falls
-        back to per-iteration execution.
+        exactly what one level step of a compiled plan provides.
+        *precomp* is the value returned by :meth:`precompute_level` for
+        the same *iters*. The plan (:mod:`repro.runtime.plan`) dispatches
+        every level step here; this default runs *iters* one at a time,
+        so a kernel without a vectorized body still executes correctly.
         """
         for i in np.asarray(iters).tolist():
             self.run_iteration(i, state, scratch)

@@ -41,7 +41,6 @@ class DScalCSR(Kernel):
     """
 
     name = "DSCAL-CSR"
-    supports_level_batch = True
 
     def __init__(self, a: CSRMatrix, *, a_var="Ax", s_var="Sx"):
         if not a.is_square:
@@ -150,7 +149,6 @@ class DScalCSC(Kernel):
 
     name = "DSCAL-CSC"
     operand_attr = "low"
-    supports_level_batch = True
 
     def __init__(self, low: CSCMatrix, *, a_var="Alow", s_var="Slow"):
         if not low.is_square or not low.is_lower_triangular():

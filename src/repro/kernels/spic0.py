@@ -45,7 +45,6 @@ class SpIC0(Kernel):
 
     name = "SpIC0-CSC"
     operand_attr = "low"
-    supports_level_batch = True
 
     def __init__(self, low: CSCMatrix, *, a_var="Alow", l_var="Lx"):
         if not low.is_square or not low.is_lower_triangular():

@@ -48,7 +48,6 @@ class SpILU0(Kernel):
     """
 
     name = "SpILU0-CSR"
-    supports_level_batch = True
 
     def __init__(self, a: CSRMatrix, *, a_var="Ax", lu_var="LUx"):
         if not a.is_square:

@@ -42,7 +42,6 @@ class SpMVCSR(Kernel):
     """
 
     name = "SpMV-CSR"
-    supports_level_batch = True
 
     def __init__(self, a: CSRMatrix, *, a_var="Ax", x_var="x", y_var="y", add_var=None):
         self.a = a
@@ -192,7 +191,6 @@ class SpMVCSC(Kernel):
     """
 
     name = "SpMV-CSC"
-    supports_level_batch = True
 
     def __init__(self, a: CSCMatrix, *, a_var="Ax", x_var="x", y_var="y"):
         self.a = a

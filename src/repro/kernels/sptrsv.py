@@ -44,7 +44,6 @@ class SpTRSVCSR(Kernel):
 
     name = "SpTRSV-CSR"
     operand_attr = "low"
-    supports_level_batch = True
 
     def __init__(self, low: CSRMatrix, *, l_var="Lx", b_var="b", x_var="x"):
         if not low.is_square or not low.is_lower_triangular():
@@ -209,7 +208,6 @@ class SpTRSVCSC(Kernel):
 
     name = "SpTRSV-CSC"
     operand_attr = "low"
-    supports_level_batch = True
 
     def __init__(self, low: CSCMatrix, *, l_var="Lx", b_var="b", x_var="x"):
         if not low.is_square or not low.is_lower_triangular():
@@ -379,7 +377,6 @@ class SpTRSVCSRFromLU(Kernel):
     """
 
     name = "SpTRSV-CSR-fromLU"
-    supports_level_batch = True
 
     def __init__(self, a: CSRMatrix, *, lu_var="LUx", b_var="b", x_var="x"):
         if not a.is_square:

@@ -41,7 +41,6 @@ class SpTRSVBackwardCSR(Kernel):
 
     name = "SpTRSV-backward-CSR"
     operand_attr = "low"
-    supports_level_batch = True
 
     def __init__(self, low: CSRMatrix, *, l_var="Lx", b_var="b", x_var="x"):
         if not low.is_square or not low.is_lower_triangular():

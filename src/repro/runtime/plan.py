@@ -186,9 +186,6 @@ def compile_plan(
     loop_of = np.zeros(max(1, schedule.n_vertices), dtype=np.int64)
     for k in range(len(kernels)):
         loop_of[offsets[k] : offsets[k + 1]] = k
-    level_capable = [
-        getattr(k, "supports_level_batch", False) for k in kernels
-    ]
     # Intra-DAG levels, computed lazily per loop (memoized on the DAG).
     kern_levels: list[np.ndarray | None] = [None] * len(kernels)
 
@@ -209,7 +206,7 @@ def compile_plan(
                 k = int(loop_of[group[0]])
                 kern = kernels[k]
                 iters = group - int(offsets[k])
-                if level_capable[k] and iters.shape[0] >= MIN_BATCH:
+                if iters.shape[0] >= MIN_BATCH:
                     if kern_levels[k] is None:
                         kern_levels[k] = kern.intra_dag().levels()
                     # a dependence-free loop has one level, hence one step

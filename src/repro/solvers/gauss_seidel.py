@@ -21,18 +21,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..fusion.fused import FusedLoops, fuse
+from ..fusion.fused import fuse
 from ..kernels import SpMVCSR, SpTRSVCSR
-from ..kernels.base import Kernel, State
+from ..kernels.base import Kernel
 from ..obs import current as current_recorder
 from ..obs import names
-from ..runtime.executor import allocate_state, execute_schedule
+from ..runtime.executor import allocate_state
 from ..runtime.plan import compile_plan, execute_schedule_planned
 from ..runtime.machine import MachineConfig, SimulatedMachine
 from ..baselines.unfused import parsy_schedule
 from ..schedule.schedule import FusedSchedule
 from ..sparse.csr import CSRMatrix
-from ..utils.arrays import require_finite
+from ..utils.arrays import require_finite, require_length
 
 __all__ = [
     "GSResult",
@@ -88,9 +88,32 @@ def build_gs_chain(
     return kernels, "x0", f"x{unroll}"
 
 
+def _schedule_chain(
+    kernels: list[Kernel], method: str, n_threads: int
+) -> tuple[FusedSchedule, float]:
+    """Schedule the unrolled GS chain; returns ``(schedule, inspector s)``.
+
+    ``"parsy"`` is unfused LBC per loop; ``"sparse-fusion"`` is ICO; any
+    other *method* names a joint-DAG scheduler of :func:`fuse`.
+    """
+    with current_recorder().span("gs.schedule", method=method) as sp:
+        if method == "parsy":
+            sched = parsy_schedule(kernels, n_threads)
+        else:
+            scheduler = "ico" if method == "sparse-fusion" else method
+            fused = fuse(kernels, n_threads, scheduler=scheduler, validate=False)
+            return fused.schedule, fused.inspector_seconds
+    return sched, sp.seconds
+
+
 @dataclass
 class GSResult:
-    """Outcome of a Gauss–Seidel solve."""
+    """Outcome of a Gauss–Seidel solve.
+
+    ``simulated_solve_seconds`` is set only by
+    :func:`gauss_seidel_simulated`; an executed solve reports its
+    measured wall-clock in ``meta["solve_seconds"]`` instead.
+    """
 
     x: np.ndarray
     iterations: int
@@ -99,7 +122,7 @@ class GSResult:
     method: str
     unroll: int
     inspector_seconds: float
-    simulated_solve_seconds: float
+    simulated_solve_seconds: float | None = None
     schedule: FusedSchedule | None = None
     meta: dict = field(default_factory=dict)
 
@@ -113,48 +136,29 @@ def gauss_seidel(
     unroll: int = 2,
     method: str = "sparse-fusion",
     n_threads: int = 8,
-    machine: MachineConfig | None = None,
     x0: np.ndarray | None = None,
-    executor: str = "plan",
 ) -> GSResult:
     """Solve ``A x = b`` with backward GS (paper's Fig. 9 configuration).
 
     ``method`` selects how the unrolled chain is scheduled:
     ``"sparse-fusion"`` (ICO), ``"parsy"`` (unfused LBC per loop),
-    ``"joint-wavefront"`` / ``"joint-lbc"`` / ``"joint-dagp"``.
-    ``executor`` selects how each chunk runs: ``"plan"`` (compiled
-    level-batched plan, compiled once per solve; see
-    :mod:`repro.runtime.plan`) or ``"iter"`` (per-iteration oracle).
-    Convergence stops at relative residual *tol* or *max_iters* GS
-    iterations; ``simulated_solve_seconds`` prices the executed chunks
-    on the machine model. Non-finite values in ``A``, ``b`` or ``x0``
-    raise ``ValueError`` before any work.
+    ``"joint-wavefront"`` / ``"joint-lbc"`` / ``"joint-dagp"``. Every
+    chunk runs through one compiled plan (see :mod:`repro.runtime.plan`),
+    compiled once per solve. Convergence stops at relative residual
+    *tol* or *max_iters* GS iterations; ``meta["solve_seconds"]`` is the
+    measured wall-clock of the chunk loop (price a solve on the machine
+    model with :func:`gauss_seidel_simulated`). A ``b`` or ``x0`` of the
+    wrong length, or non-finite values in ``A``, ``b`` or ``x0``, raise
+    ``ValueError`` before any work.
     """
-    if executor not in ("iter", "plan"):
-        raise ValueError(f"unknown executor {executor!r}")
     if not a.is_square:
         raise ValueError("Gauss-Seidel requires a square matrix")
     b = np.asarray(b, dtype=np.float64)
+    require_length(a.n_rows, b=b, x0=x0)
     require_finite(A=a.data, b=b, x0=x0)
     kernels, x_in, x_out = build_gs_chain(a, unroll)
     low, e = gs_split(a)
-    cfg = machine or MachineConfig(n_threads=n_threads)
-
-    rec = current_recorder()
-    if method == "parsy":
-        with rec.span("gs.schedule", method=method) as sp:
-            sched = parsy_schedule(kernels, n_threads)
-        inspector = sp.seconds
-        fused = None
-    else:
-        scheduler = "ico" if method == "sparse-fusion" else method
-        with rec.span("gs.schedule", method=method):
-            fused = fuse(kernels, n_threads, scheduler=scheduler, validate=False)
-        sched = fused.schedule
-        inspector = fused.inspector_seconds
-
-    report = SimulatedMachine(cfg).simulate(sched, kernels, fidelity="flat")
-    chunk_seconds = report.seconds
+    sched, inspector = _schedule_chain(kernels, method, n_threads)
 
     state = allocate_state(kernels)
     state["Lx"][:] = low.data
@@ -168,15 +172,13 @@ def gauss_seidel(
     iterations = 0
     converged = False
     chunks = 0
-    with rec.span("gs.solve", method=method, unroll=unroll, executor=executor):
+    rec = current_recorder()
+    with rec.span("gs.solve", method=method, unroll=unroll) as solve_span:
         # A local plan, not the plan_for memo: a finished solve must not
         # keep its plan alive in the process-wide LRU.
-        plan = compile_plan(sched, kernels) if executor == "plan" else None
+        plan = compile_plan(sched, kernels)
         while iterations < max_iters:
-            if plan is not None:
-                execute_schedule_planned(sched, kernels, state, plan=plan)
-            else:
-                execute_schedule(sched, kernels, state)
+            execute_schedule_planned(sched, kernels, state, plan=plan)
             chunks += 1
             iterations += unroll
             x = state[x_out]
@@ -195,9 +197,8 @@ def gauss_seidel(
         method=method,
         unroll=unroll,
         inspector_seconds=inspector,
-        simulated_solve_seconds=chunks * chunk_seconds,
         schedule=sched,
-        meta={"chunks": chunks, "chunk_seconds": chunk_seconds},
+        meta={"chunks": chunks, "solve_seconds": solve_span.seconds},
     )
 
 
@@ -234,7 +235,6 @@ def gs_iterations_to_converge(
 
 def gauss_seidel_simulated(
     a: CSRMatrix,
-    b: np.ndarray,
     *,
     iterations: int,
     unroll: int = 2,
@@ -247,21 +247,16 @@ def gauss_seidel_simulated(
     Builds the unrolled chain and its schedule exactly like
     :func:`gauss_seidel`, simulates one chunk, and multiplies by the
     number of chunks — the benchmarking path for Fig. 9 where executing
-    hundreds of Python sweeps per configuration would be prohibitive.
-    ``x`` in the result is a zero vector (numerics are covered by
+    hundreds of sweeps per configuration would be prohibitive. Take
+    *iterations* from :func:`gs_iterations_to_converge`. ``x`` in the
+    result is a zero vector (numerics are covered by
     :func:`gauss_seidel` and its tests).
     """
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
     kernels, _, _ = build_gs_chain(a, unroll)
+    sched, inspector = _schedule_chain(kernels, method, n_threads)
     cfg = machine or MachineConfig(n_threads=n_threads)
-    if method == "parsy":
-        with current_recorder().span("gs.schedule", method=method) as sp:
-            sched = parsy_schedule(kernels, n_threads)
-        inspector = sp.seconds
-    else:
-        scheduler = "ico" if method == "sparse-fusion" else method
-        fused = fuse(kernels, n_threads, scheduler=scheduler, validate=False)
-        sched = fused.schedule
-        inspector = fused.inspector_seconds
     chunk_seconds = SimulatedMachine(cfg).simulate(sched, kernels).seconds
     chunks = -(-iterations // unroll)  # ceil
     return GSResult(

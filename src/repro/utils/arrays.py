@@ -13,6 +13,7 @@ __all__ = [
     "segment_sums_at",
     "stack_distances",
     "require_finite",
+    "require_length",
 ]
 
 
@@ -27,6 +28,20 @@ def require_finite(**arrays: np.ndarray | None) -> None:
     for name, arr in arrays.items():
         if arr is not None and not np.all(np.isfinite(arr)):
             raise ValueError(f"{name} contains NaN or inf")
+
+
+def require_length(n: int, **arrays: np.ndarray | None) -> None:
+    """Raise ``ValueError`` naming the first input that is not a vector
+    of length *n* (``None`` inputs are skipped).
+
+    The solvers check their right-hand side and initial guess against
+    the matrix order with it, before factorization or inspection.
+    """
+    for name, arr in arrays.items():
+        if arr is not None and np.shape(arr) != (n,):
+            raise ValueError(
+                f"{name} has shape {np.shape(arr)}, expected ({n},)"
+            )
 
 
 def multi_range(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

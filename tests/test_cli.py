@@ -133,6 +133,7 @@ class TestCommands:
         [
             ["fuse", "--executor", "batched"],
             ["gs", "--executor", "batched"],
+            ["gs", "--executor", "plan"],
             ["sanitize", "--executor", "batched"],
             ["fuse", "--min-batch", "4"],
             ["compare", "--min-batch", "4"],

@@ -368,21 +368,35 @@ class TestSolverIntegration:
         st1, st2 = _run_both(fl.schedule, kernels, state)
         assert np.allclose(st1[xo], st2[xo], atol=1e-13)
 
-    def test_gauss_seidel_executor_plan(self, lap2d_nd, rng):
+    def test_gauss_seidel_executor_plan(self, lap2d_nd, rng, monkeypatch):
+        import importlib
+
+        from repro.runtime import execute_schedule
         from repro.solvers import gauss_seidel
 
+        gs_mod = importlib.import_module("repro.solvers.gauss_seidel")
         b = rng.random(lap2d_nd.n_rows)
-        ref = gauss_seidel(lap2d_nd, b, tol=1e-8, executor="iter")
-        res = gauss_seidel(lap2d_nd, b, tol=1e-8, executor="plan")
+        res = gauss_seidel(lap2d_nd, b, tol=1e-8)
+        monkeypatch.setattr(
+            gs_mod,
+            "execute_schedule_planned",
+            lambda sched, kernels, state, plan: execute_schedule(
+                sched, kernels, state
+            ),
+        )
+        ref = gauss_seidel(lap2d_nd, b, tol=1e-8)
         assert res.converged
         assert res.iterations == ref.iterations
         assert np.allclose(res.x, ref.x, atol=1e-10)
 
     def test_gauss_seidel_rejects_unknown_executor(self, lap2d_nd, rng):
+        """The solver has no executor option: every solve runs the plan."""
         from repro.solvers import gauss_seidel
 
-        with pytest.raises(ValueError):
-            gauss_seidel(lap2d_nd, rng.random(lap2d_nd.n_rows), executor="bogus")
+        b = rng.random(lap2d_nd.n_rows)
+        for executor in ("bogus", "iter", "plan"):
+            with pytest.raises(TypeError, match="executor"):
+                gauss_seidel(lap2d_nd, b, executor=executor)
 
 
 class TestWavefrontMemoization:

@@ -1,9 +1,17 @@
 """Gauss-Seidel solver tests (the Fig. 9 workload)."""
 
+import importlib
+
 import numpy as np
 import pytest
 
-from repro.solvers import build_gs_chain, gauss_seidel, gs_split
+from repro.solvers import (
+    build_gs_chain,
+    gauss_seidel,
+    gauss_seidel_simulated,
+    gs_iterations_to_converge,
+    gs_split,
+)
 from repro.sparse import laplacian_2d
 
 
@@ -79,10 +87,19 @@ def test_gs_with_initial_guess(rng):
 def test_gs_fusion_beats_parsy_simulated(lap3d_nd, rng):
     """The Fig. 9 shape: fused GS is simulated-faster than unfused."""
     b = rng.random(lap3d_nd.n_rows)
-    kw = dict(tol=1e-6, max_iters=200, unroll=4, n_threads=8)
-    fused = gauss_seidel(lap3d_nd, b, method="sparse-fusion", **kw)
-    parsy = gauss_seidel(lap3d_nd, b, method="parsy", **kw)
+    iters = gs_iterations_to_converge(lap3d_nd, b, tol=1e-6, max_iters=200)
+    kw = dict(iterations=iters, unroll=4, n_threads=8)
+    fused = gauss_seidel_simulated(lap3d_nd, method="sparse-fusion", **kw)
+    parsy = gauss_seidel_simulated(lap3d_nd, method="parsy", **kw)
     assert fused.simulated_solve_seconds < parsy.simulated_solve_seconds
+
+
+def test_gs_reports_measured_time_only(lap2d_small, rng):
+    """An executed solve reports wall-clock, never a simulated price."""
+    res = gauss_seidel(lap2d_small, rng.random(lap2d_small.n_rows))
+    assert res.simulated_solve_seconds is None
+    assert "chunk_seconds" not in res.meta
+    assert res.meta["solve_seconds"] > 0
 
 
 def test_gs_rejects_rectangular():
@@ -98,7 +115,7 @@ def test_gs_result_does_not_pin_plan(lap2d_nd, rng):
     compiled plan alive in the process-wide plan_for memo."""
     from repro.runtime import plan as plan_mod
 
-    res = gauss_seidel(lap2d_nd, rng.random(lap2d_nd.n_rows), executor="plan")
+    res = gauss_seidel(lap2d_nd, rng.random(lap2d_nd.n_rows))
     assert res.converged
     assert not plan_mod._plans
 
@@ -106,11 +123,26 @@ def test_gs_result_does_not_pin_plan(lap2d_nd, rng):
 @pytest.mark.parametrize(
     "matrix, iterations", [("lap2d_nd", 234), ("lap2d_small", 112)]
 )
-def test_gs_plan_keeps_iterations_and_matches_iter(matrix, iterations, request):
+def test_gs_plan_keeps_iterations_and_matches_iter(
+    matrix, iterations, request, monkeypatch
+):
+    """The plan-executed solve matches one whose chunks run through the
+    per-iteration oracle, iteration for iteration."""
+    from repro.runtime import execute_schedule
+
+    # the package re-exports the function under the module's name
+    gs_mod = importlib.import_module("repro.solvers.gauss_seidel")
     a = request.getfixturevalue(matrix)
     b = np.random.default_rng(12345).random(a.n_rows)
-    ref = gauss_seidel(a, b, executor="iter")
-    res = gauss_seidel(a, b)  # default executor: plan
+    res = gauss_seidel(a, b)
+    monkeypatch.setattr(
+        gs_mod,
+        "execute_schedule_planned",
+        lambda sched, kernels, state, plan: execute_schedule(
+            sched, kernels, state
+        ),
+    )
+    ref = gauss_seidel(a, b)
     assert res.converged and ref.converged
     assert res.iterations == ref.iterations == iterations
     assert np.allclose(res.x, ref.x, atol=1e-12)
@@ -134,3 +166,14 @@ def test_gs_rejects_non_finite_inputs(lap2d_small, where, name):
     a, b = _poisoned(lap2d_small, where)
     with pytest.raises(ValueError, match=f"^{name} contains NaN or inf"):
         gauss_seidel(a, b)
+
+
+@pytest.mark.parametrize("name", ["b", "x0"])
+def test_gs_rejects_wrong_length_inputs(lap2d_small, name):
+    """A wrong-length ``b`` or ``x0`` is rejected up front, naming the
+    input, instead of failing after inspection with a broadcast error."""
+    n = lap2d_small.n_rows
+    kw = {"b": np.ones(n), "x0": np.zeros(n)}
+    kw[name] = np.ones(3)
+    with pytest.raises(ValueError, match=f"^{name} has shape \\(3,\\)"):
+        gauss_seidel(lap2d_small, **kw)
